@@ -171,8 +171,12 @@ class BoundReport:
     ok: bool
 
 
-def _random_word(rng: random.Random, n: int) -> CVector:
-    # numerators in [-8, 8], denominators in {1, 2, 4}
+def random_word(rng: random.Random, n: int) -> CVector:
+    """A random level-n received word drawn from `rng`.
+
+    Each coordinate's real and imaginary parts have numerators in [-8, 8]
+    and denominators in {1, 2, 4}.
+    """
     def part() -> Fraction:
         return Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
 
@@ -205,7 +209,7 @@ def validate_bounds(
             )
         for t in range(trials):
             rng = random.Random(seed * 7_368_787 + gi * 104_729 + t)
-            words.append((f"random-{t}", _random_word(rng, n), 0))
+            words.append((f"random-{t}", random_word(rng, n), 0))
         for label, word, lower in words:
             measured = len(list_decode(word, eta))
             ok = lower <= measured and (upper is None or measured <= upper)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from bwlist.arith import format_vector, parse_rational, parse_vector
-from bwlist.bounds import _random_word, validate_bounds
+from bwlist.bounds import random_word, validate_bounds
 from bwlist.decode import (
     CostCounter,
     InvariantError,
@@ -104,15 +104,10 @@ def _emit(config: RunConfig, lines: Sequence[str]) -> None:
 
 
 def _cmd_decode(config: RunConfig) -> int:
-    if config.workers < 1:
-        raise ValueError("workers must be >= 1")
     vec = _read_vector(config)
-    if config.workers > 1:
-        result = list_decode_parallel(
-            vec, config.eta, config.workers, max_list=config.max_list
-        )
-    else:
-        result = list_decode(vec, config.eta, max_list=config.max_list)
+    result = list_decode_parallel(
+        vec, config.eta, config.workers, max_list=config.max_list
+    )
     _emit(config, result.to_lines())
     return EXIT_OK
 
@@ -178,7 +173,7 @@ def _cmd_bounds(config: RunConfig) -> int:
 def _cmd_bench(config: RunConfig) -> int:
     lines = ["n\tworkers\trep\tseconds\tops"]
     for n in range(config.n_min, config.n_max + 1):
-        word = _random_word(random.Random(config.seed * 31 + n), n)
+        word = random_word(random.Random(config.seed * 31 + n), n)
         for workers in config.worker_list:
             for rep in range(config.reps):
                 start = time.perf_counter()

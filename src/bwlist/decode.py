@@ -39,6 +39,12 @@ A `max_list` cap aborts the whole decode with MaxListExceeded as soon as
 up near eta = 1 even when the final list is small, and the cap exists to
 protect batch runs from exactly that.
 
+Every combine runs through one pair scan, `_scan_blocks`.  The parallel
+decoder shares the recursion rather than copying it: it splits the top d
+levels breadth first, decodes the 4**d deepest words on a process pool,
+and folds back up with the same `_combine_core`, which hands a large
+node's pair scan to the pool in slices of its outer lists.
+
 Set the BWLIST_VALIDATE environment variable to re-check every candidate
 that survives the distance scan against the lattice (slow; meant for the
 test suite at small levels).
@@ -50,18 +56,18 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 from bwlist.arith import (
     CVector,
     GaussianInt,
-    QComplex,
     RationalLike,
     format_vector,
     vector_to_scaled,
 )
-from bwlist.lattice import BWPoint, _member_pairs
+from bwlist.lattice import BWPoint, member_pairs
 
 PAIRINGS = ("0+", "0-", "1+", "1-")
 
@@ -109,6 +115,22 @@ class DecodeList:
     received: CVector
     radius: Fraction
     entries: tuple[DecodeEntry, ...]
+
+    @classmethod
+    def from_scaled(cls, received: CVector, radius: Fraction, den: int,
+                    entries) -> DecodeList:
+        """Package scaled-integer entries in canonical order.
+
+        Each entry is ((re, im) pairs, tot) with tot the exact scaled
+        squared distance sum_j |den * r_j - den * w_j|^2, so the relative
+        squared distance is tot / (den^2 * N), N = len(received).
+        """
+        den_sq_n = den * den * len(received)
+        return cls(received, radius, tuple(
+            DecodeEntry(BWPoint.unchecked(GaussianInt(x, y) for x, y in pt),
+                        Fraction(tot, den_sq_n))
+            for pt, tot in sorted(entries)
+        ))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -217,129 +239,66 @@ def _scan_pair(known_pt, known_tot, trans_pt, nums, den, half, limit,
     return known_pt + body, tot
 
 
-def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                  counter, max_list, pool=None, workers=1):
-    size = 1 << n
-    half = size >> 1
-    npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
-    if pool is not None and npairs >= _PAR_COMBINE_MIN:
-        return _combine_parallel(nums, den, n, p, q, sub0, sub1, subp, subm,
-                                 max_list, pool, workers)
+def _scan_blocks(nums, den, half, limit, blocks):
+    """Survivors of the pair scan over `blocks` as {point: tot}.
 
-    limit = (p * den * den * size) // q
+    Each block is (outers, inners, pairing spec): every outer known half
+    is tried against every inner transformed half.  A point found twice
+    keeps its first tot (both are the same exact distance).
+    """
     out = {}
-    for pairing, outers, inners in (
-        ("0+", sub0, subp),
-        ("0-", sub0, subm),
-        ("1+", sub1, subp),
-        ("1-", sub1, subm),
-    ):
-        t_sign, k_sign, unknown_left = _PAIRING_SPECS[pairing]
+    for outers, inners, (t_sign, k_sign, unknown_left) in blocks:
         for known_pt, known_tot in outers:
             for trans_pt, _ in inners:
                 got = _scan_pair(known_pt, known_tot, trans_pt, nums, den,
                                  half, limit, t_sign, k_sign, unknown_left)
                 if got is not None:
                     pt, tot = got
-                    if _VALIDATE and not _member_pairs(pt):
+                    if _VALIDATE and not member_pairs(pt):
                         raise InvariantError(
                             f"assembled non-member candidate {pt}"
                         )
                     out.setdefault(pt, tot)
+    return out
+
+
+def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
+                  counter, max_list, pool=None, workers=1):
+    size = 1 << n
+    npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
+    if npairs == 0:
+        return []
+    half = size >> 1
+    limit = (p * den * den * size) // q
+    blocks = [
+        (outers, inners, _PAIRING_SPECS[pairing])
+        for pairing, outers, inners in (
+            ("0+", sub0, subp),
+            ("0-", sub0, subm),
+            ("1+", sub1, subp),
+            ("1-", sub1, subm),
+        )
+        if outers and inners
+    ]
+    if pool is None or npairs < _PAR_COMBINE_MIN:
+        out = _scan_blocks(nums, den, half, limit, blocks)
+    else:
+        # slice each pairing's outers so every worker gets about two tasks
+        chunks = []
+        for outers, inners, spec in blocks:
+            step = -(-len(outers) // (2 * workers))
+            chunks += [[(outers[lo:lo + step], inners, spec)]
+                       for lo in range(0, len(outers), step)]
+        out = {}
+        for part in pool.map(_scan_blocks, repeat(nums), repeat(den),
+                             repeat(half), repeat(limit), chunks):
+            for pt, tot in part.items():
+                out.setdefault(pt, tot)
     if counter is not None:
         counter.ops += npairs * size
     if max_list is not None and len(out) > max_list:
         raise MaxListExceeded(len(out), max_list)
     return list(out.items())
-
-
-# ---------------------------------------------------------------------------
-# Parallel execution
-# ---------------------------------------------------------------------------
-
-
-def _expand(nums, den, n, depth):
-    """Unroll the recursion `depth` levels into a task tree."""
-    if depth == 0 or n == 0:
-        return (nums, den, n, None)
-    r0, r1, rp, rm, den2 = _split_words(nums, den, n)
-    kids = (
-        _expand(r0, den, n - 1, depth - 1),
-        _expand(r1, den, n - 1, depth - 1),
-        _expand(rp, den2, n - 1, depth - 1),
-        _expand(rm, den2, n - 1, depth - 1),
-    )
-    return (nums, den, n, kids)
-
-
-def _collect_leaves(tree, acc):
-    nums, den, n, kids = tree
-    if kids is None:
-        acc.append((nums, den, n))
-    else:
-        for kid in kids:
-            _collect_leaves(kid, acc)
-
-
-def _leaf_worker(args):
-    nums, den, n, p, q, max_list = args
-    return _decode_core(nums, den, n, p, q, None, max_list)
-
-
-def _combine_chunk(args):
-    """Surviving candidates for one (pairing, outer-slice) block."""
-    outers, inners, nums, den, half, limit, t_sign, k_sign, unknown_left = args
-    out = {}
-    for known_pt, known_tot in outers:
-        for trans_pt, _ in inners:
-            got = _scan_pair(known_pt, known_tot, trans_pt, nums, den,
-                             half, limit, t_sign, k_sign, unknown_left)
-            if got is not None:
-                pt, tot = got
-                if _VALIDATE and not _member_pairs(pt):
-                    raise InvariantError(
-                        f"assembled non-member candidate {pt}"
-                    )
-                out.setdefault(pt, tot)
-    return list(out.items())
-
-
-def _combine_parallel(nums, den, n, p, q, sub0, sub1, subp, subm,
-                      max_list, pool, workers):
-    size = 1 << n
-    half = size >> 1
-    limit = (p * den * den * size) // q
-    tasks = []
-    for pairing, outers, inners in (
-        ("0+", sub0, subp),
-        ("0-", sub0, subm),
-        ("1+", sub1, subp),
-        ("1-", sub1, subm),
-    ):
-        if not outers or not inners:
-            continue
-        t_sign, k_sign, unknown_left = _PAIRING_SPECS[pairing]
-        step = max(1, -(-len(outers) // (2 * workers)))
-        for lo in range(0, len(outers), step):
-            tasks.append((outers[lo:lo + step], inners, nums, den, half,
-                          limit, t_sign, k_sign, unknown_left))
-    merged = {}
-    for chunk in pool.map(_combine_chunk, tasks):
-        for pt, tot in chunk:
-            merged.setdefault(pt, tot)
-    out = list(merged.items())
-    if max_list is not None and len(out) > max_list:
-        raise MaxListExceeded(len(out), max_list)
-    return out
-
-
-def _fold(tree, results, p, q, max_list, pool, workers):
-    nums, den, n, kids = tree
-    if kids is None:
-        return next(results)
-    subs = [_fold(kid, results, p, q, max_list, pool, workers) for kid in kids]
-    return _combine_core(nums, den, n, p, q, *subs, None, max_list,
-                         pool=pool, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +313,6 @@ def _check_radius(eta: RationalLike) -> Fraction:
     return eta
 
 
-def _package(received: CVector, eta: Fraction, nums, den, entries) -> DecodeList:
-    size = len(nums)
-    den_sq_n = den * den * size
-    packaged = []
-    for pt, tot in sorted(entries):
-        point = BWPoint.unchecked(GaussianInt(x, y) for x, y in pt)
-        packaged.append(DecodeEntry(point, Fraction(tot, den_sq_n)))
-    return DecodeList(received, eta, tuple(packaged))
-
-
 def list_decode(
     r: CVector,
     eta: RationalLike,
@@ -376,7 +325,7 @@ def list_decode(
     nums, den = vector_to_scaled(r)
     pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
                        counter, max_list)
-    return _package(r, eta, nums, den, pts)
+    return DecodeList.from_scaled(r, eta, den, pts)
 
 
 def list_decode_parallel(
@@ -388,10 +337,13 @@ def list_decode_parallel(
 ) -> DecodeList:
     """Same output as `list_decode`, byte for byte, using a process pool.
 
-    The recursion is unrolled into 4**d leaf subproblems (d chosen from
-    `workers`, capped so leaves stay at level >= 3), the leaves are decoded
-    in parallel, and the parents' combine steps run on the same pool when
-    the candidate-pair count is large enough to pay for the shipping.
+    The top d levels of the recursion are split breadth first (d is the
+    smallest depth with 4**d >= `workers`, capped so the deepest words stay
+    at level >= 3).  The 4**d deepest words are decoded on the pool, then
+    each level above is combined in turn with the sequential combine, which
+    slices a node's pair scan across the pool when it has enough candidate
+    pairs to pay for the shipping.  With one worker, or a word too small to
+    split, the decode runs in-process.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -406,29 +358,29 @@ def list_decode_parallel(
     depth = min(depth, n - 3)
     if workers == 1 or depth < 1:
         pts = _decode_core(nums, den, n, p, q, None, max_list)
-        return _package(r, eta, nums, den, pts)
+        return DecodeList.from_scaled(r, eta, den, pts)
 
-    tree = _expand(nums, den, n, depth)
-    leaves: list = []
-    _collect_leaves(tree, leaves)
+    # levels[k] holds the words at depth k; node i's children are 4i..4i+3
+    levels = [[(nums, den)]]
+    for k in range(depth):
+        level = []
+        for words, wden in levels[k]:
+            r0, r1, rp, rm, den2 = _split_words(words, wden, n - k)
+            level += [(r0, wden), (r1, wden), (rp, den2), (rm, den2)]
+        levels.append(level)
+    leaf_words, leaf_dens = zip(*levels[depth])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(
-            _leaf_worker,
-            [(lnums, lden, ln, p, q, max_list) for lnums, lden, ln in leaves],
-        )
-        pts = _fold(tree, iter(results), p, q, max_list, pool, workers)
-    return _package(r, eta, nums, den, pts)
-
-
-def base_case_enumerate(
-    r: QComplex,
-    eta: RationalLike,
-    *,
-    max_list: Optional[int] = None,
-    counter: Optional[CostCounter] = None,
-) -> DecodeList:
-    """Level-0 decoding: Gaussian integers z with |r - z|^2 <= eta."""
-    return list_decode(CVector([r]), eta, max_list=max_list, counter=counter)
+        lists = list(pool.map(_decode_core, leaf_words, leaf_dens,
+                              repeat(n - depth), repeat(p), repeat(q),
+                              repeat(None), repeat(max_list)))
+        for k in range(depth - 1, -1, -1):
+            lists = [
+                _combine_core(words, wden, n - k, p, q,
+                              *lists[4 * i:4 * i + 4], None, max_list,
+                              pool, workers)
+                for i, (words, wden) in enumerate(levels[k])
+            ]
+    return DecodeList.from_scaled(r, eta, den, lists[0])
 
 
 def combine_candidates(pairing: str, known: Sequence[GaussianInt],
@@ -437,7 +389,9 @@ def combine_candidates(pairing: str, known: Sequence[GaussianInt],
 
     `pairing` says which half `known` is (0 = left, 1 = right) and which
     transformed word `transformed` decodes ('+' for (phi/2)(w0 + w1),
-    '-' for (phi/2)(w0 - w1)).
+    '-' for (phi/2)(w0 - w1)).  This is the public reference for the
+    reconstruction: it reads the same `_PAIRING_SPECS` table as the
+    decoder's pair scan, so the tests that pin it pin that table too.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")

@@ -59,7 +59,12 @@ def _as_pairs(x: PointLike) -> list[GPair]:
     return out
 
 
-def _member_pairs(pairs: Sequence[GPair]) -> bool:
+def member_pairs(pairs: Sequence[GPair]) -> bool:
+    """Membership test on integer (re, im) pairs of power-of-two length.
+
+    The fast path behind `is_member`, for callers that already hold
+    integer pairs: no length or type checks are made.
+    """
     if len(pairs) == 1:
         return True
     mid = len(pairs) // 2
@@ -70,7 +75,7 @@ def _member_pairs(pairs: Sequence[GPair]) -> bool:
         if (x + y) & 1:
             return False
         v.append(((x + y) // 2, (y - x) // 2))
-    return _member_pairs(u) and _member_pairs(v)
+    return member_pairs(u) and member_pairs(v)
 
 
 def is_member(x: PointLike) -> bool:
@@ -87,7 +92,7 @@ def is_member(x: PointLike) -> bool:
     size = len(pairs)
     if size == 0 or size & (size - 1):
         raise ValueError(f"vector length {size} is not a power of two")
-    return _member_pairs(pairs)
+    return member_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +119,7 @@ class BWPoint:
         size = len(pairs)
         if size == 0 or size & (size - 1):
             raise ValueError(f"vector length {size} is not a power of two")
-        if not _member_pairs(pairs):
+        if not member_pairs(pairs):
             raise NotAMember("vector fails the recursive halving test")
         return cls(tuple(GaussianInt(a, b) for a, b in pairs))
 

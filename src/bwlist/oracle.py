@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import isqrt
 
 from bwlist.arith import CVector, RationalLike, vector_to_scaled
-from bwlist.decode import DecodeList, InvariantError, _package
-from bwlist.lattice import _member_pairs
+from bwlist.decode import DecodeList, InvariantError
+from bwlist.lattice import member_pairs
 
 DEFAULT_CAP = 4
 
@@ -99,9 +99,9 @@ def oracle_list(
     nums, den = vector_to_scaled(r)
     entries = _enumerate_scaled(nums, den, r.n, eta.numerator, eta.denominator)
     for pt, _ in entries:
-        if not _member_pairs(pt):
+        if not member_pairs(pt):
             raise InvariantError(f"oracle emitted non-member {pt}")
-    return _package(r, eta, nums, den, entries)
+    return DecodeList.from_scaled(r, eta, den, entries)
 
 
 def shortest_vectors(
@@ -128,4 +128,5 @@ def shortest_vectors(
         raise InvariantError("no nonzero member found at relative distance 1")
     min_norm = min(norms)
     received = CVector.zero(n)
-    return min_norm, _package(received, Fraction(1), zero, 1, norms[min_norm])
+    return min_norm, DecodeList.from_scaled(received, Fraction(1), 1,
+                                            norms[min_norm])

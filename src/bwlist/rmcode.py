@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from bwlist.arith import CVector, GaussianInt, phi_pow
 from bwlist.decode import DecodeEntry, DecodeList, InvariantError
-from bwlist.lattice import BWPoint, NotAMember, PointLike, _as_pairs, _member_pairs
+from bwlist.lattice import BWPoint, NotAMember, PointLike
 
 Bits = tuple[int, ...]
 BitsLike = Union["RMCodeword", Sequence[int]]
@@ -259,14 +259,8 @@ def bw_to_rm_layers(
     which case no layered form exists and ValueError is raised.  For
     n <= 5 members always peel cleanly.
     """
-    pairs = _as_pairs(x)
-    size = len(pairs)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"vector length {size} is not a power of two")
-    n = size.bit_length() - 1
-    if not _member_pairs(pairs):
-        raise NotAMember("vector is not a lattice member")
-    work = list(pairs)
+    work = list(BWPoint.of(x).key())
+    n = len(work).bit_length() - 1
     layers = []
     for d in range(n):
         bits = tuple((a + b) & 1 for a, b in work)

@@ -13,12 +13,12 @@ from bwlist.decode import (
     PAIRINGS,
     CostCounter,
     MaxListExceeded,
-    base_case_enumerate,
     combine_candidates,
     list_decode,
     list_decode_parallel,
 )
-from bwlist.lattice import is_member, random_member
+from bwlist.lattice import automorphism_t, is_member, random_member
+from bwlist.rmcode import lower_bound_instance
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
 
@@ -28,13 +28,13 @@ def _gauss_set(result) -> set[tuple[tuple[int, int], ...]]:
 
 
 def test_base_case_deep_hole() -> None:
-    result = base_case_enumerate(HALF_PHI, Fraction(1, 2))
+    result = list_decode(CVector([HALF_PHI]), Fraction(1, 2))
     assert _gauss_set(result) == {((0, 0),), ((1, 0),), ((0, 1),), ((1, 1),)}
     assert all(e.distance == Fraction(1, 2) for e in result)
 
 
 def test_base_case_origin_radius_one() -> None:
-    result = base_case_enumerate(QComplex(0, 0), 1)
+    result = list_decode(CVector([QComplex(0, 0)]), 1)
     assert _gauss_set(result) == {
         ((0, 0),), ((1, 0),), ((-1, 0),), ((0, 1),), ((0, -1),),
     }
@@ -45,6 +45,28 @@ def test_combine_candidate_examples() -> None:
     zero = GaussianInt(0, 0)
     assert combine_candidates("0+", [one], [PHI]) == CVector([one, one])
     assert combine_candidates("1+", [zero], [PHI]) == CVector([GaussianInt(2, 0), zero])
+
+
+def test_combine_candidates_rebuild_members() -> None:
+    """Every pairing rebuilds a member from one half and one transform.
+
+    `combine_candidates` is kept as the public reference for the
+    reconstruction that `_PAIRING_SPECS` feeds to the decoder's pair scan;
+    this pins all four pairings, not only the examples above.
+    """
+    rng = random.Random(12)
+    for n in range(1, 5):
+        for _ in range(25):
+            w = random_member(rng, n).to_cvector()
+            w0, w1 = w.halves()
+            # automorphism_t(w) = [(phi/2)(w0 + w1), (phi/2)(w0 - w1)]
+            t_plus, t_minus = automorphism_t(w).halves()
+            for pairing in PAIRINGS:
+                known = w0 if pairing[0] == "0" else w1
+                trans = t_plus if pairing[1] == "+" else t_minus
+                got = combine_candidates(pairing, known.to_gaussian(),
+                                         trans.to_gaussian())
+                assert got == w, pairing
 
 
 def test_combine_candidates_rejects_bad_input() -> None:
@@ -148,6 +170,19 @@ def test_parallel_matches_sequential_small() -> None:
     seq = list_decode(r, Fraction(1, 2))
     par = list_decode_parallel(r, Fraction(1, 2), 2)
     assert seq.to_lines() == par.to_lines()
+
+
+def test_parallel_combine_and_depth_two_match_sequential() -> None:
+    # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine examines
+    # 161 460 pairs (over _PAR_COMBINE_MIN, so it is sliced across the
+    # pool) and keeps 5210 members, most of them found by two pairings;
+    # 8 workers split two levels deep
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    eta = Fraction(3, 4)
+    seq = list_decode(r, eta).to_lines()
+    assert len(seq) == 5210
+    for workers in (2, 3, 8):
+        assert list_decode_parallel(r, eta, workers).to_lines() == seq, workers
 
 
 def test_parallel_rejects_bad_worker_count() -> None:
