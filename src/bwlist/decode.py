@@ -23,7 +23,8 @@ total distance accumulates coordinate by coordinate and the scan breaks
 out early once it exceeds the radius; only surviving candidates are ever
 materialized.
 
-Operation-counting convention (CostCounter, reported by the bench CLI):
+Operation-counting convention (CostCounter, reported as `decode.ops` by
+perfbench's traced run):
 
 * base case: one op per grid cell examined;
 * each internal node: 2N ops for forming the two transformed half-words;
@@ -137,9 +138,6 @@ class DecodeList:
 
     def __iter__(self) -> Iterator[DecodeEntry]:
         return iter(self.entries)
-
-    def points(self) -> tuple[BWPoint, ...]:
-        return tuple(e.point for e in self.entries)
 
     def to_lines(self) -> list[str]:
         """One 'vector<TAB>rsd' line per entry, in canonical order."""
@@ -306,10 +304,13 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
 # ---------------------------------------------------------------------------
 
 
-def _check_radius(eta: RationalLike) -> Fraction:
+def _check_args(eta: RationalLike, max_list: Optional[int]) -> Fraction:
+    """Validate the radius and the list cap; returns eta as a Fraction."""
     eta = Fraction(eta)
     if eta < 0:
         raise ValueError("radius must be >= 0")
+    if max_list is not None and max_list < 0:
+        raise ValueError("max_list must be >= 0")
     return eta
 
 
@@ -321,7 +322,7 @@ def list_decode(
     counter: Optional[CostCounter] = None,
 ) -> DecodeList:
     """All members within relative squared distance eta of r, exactly."""
-    eta = _check_radius(eta)
+    eta = _check_args(eta, max_list)
     nums, den = vector_to_scaled(r)
     pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
                        counter, max_list)
@@ -347,7 +348,7 @@ def list_decode_parallel(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    eta = _check_radius(eta)
+    eta = _check_args(eta, max_list)
     nums, den = vector_to_scaled(r)
     n = r.n
     p, q = eta.numerator, eta.denominator

@@ -42,20 +42,29 @@ PointLike = Union["BWPoint", CVector, Sequence]
 
 
 def _as_pairs(x: PointLike) -> list[GPair]:
-    """Normalize to integer (re, im) pairs; raises NotDivisible on rationals."""
+    """Normalize to integer (re, im) pairs of power-of-two length.
+
+    Raises NotDivisible on non-integer coordinates, then ValueError on a
+    length that is not a power of two.
+    """
     if isinstance(x, BWPoint):
-        return [(z.re, z.im) for z in x.coords]
-    if isinstance(x, CVector):
-        return [(int(z.re), int(z.im)) for z in x.to_gaussian()]
-    out = []
-    for z in x:
-        if isinstance(z, GaussianInt):
-            out.append((z.re, z.im))
-        elif isinstance(z, QComplex):
-            g = z.to_gaussian()
-            out.append((g.re, g.im))
-        else:
-            raise TypeError(f"unsupported coordinate type: {type(z).__name__}")
+        out = [(z.re, z.im) for z in x.coords]
+    elif isinstance(x, CVector):
+        out = [(int(z.re), int(z.im)) for z in x.to_gaussian()]
+    else:
+        out = []
+        for z in x:
+            if isinstance(z, GaussianInt):
+                out.append((z.re, z.im))
+            elif isinstance(z, QComplex):
+                g = z.to_gaussian()
+                out.append((g.re, g.im))
+            else:
+                raise TypeError(
+                    f"unsupported coordinate type: {type(z).__name__}")
+    size = len(out)
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"vector length {size} is not a power of two")
     return out
 
 
@@ -89,9 +98,6 @@ def is_member(x: PointLike) -> bool:
         pairs = _as_pairs(x)
     except NotDivisible:
         return False
-    size = len(pairs)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"vector length {size} is not a power of two")
     return member_pairs(pairs)
 
 
@@ -116,9 +122,6 @@ class BWPoint:
             pairs = _as_pairs(coords)
         except NotDivisible as exc:
             raise NotAMember(str(exc)) from exc
-        size = len(pairs)
-        if size == 0 or size & (size - 1):
-            raise ValueError(f"vector length {size} is not a power of two")
         if not member_pairs(pairs):
             raise NotAMember("vector fails the recursive halving test")
         return cls(tuple(GaussianInt(a, b) for a, b in pairs))
@@ -169,9 +172,6 @@ class GeneratorMatrix:
     def __iter__(self) -> Iterator[tuple[GaussianInt, ...]]:
         return iter(self.rows)
 
-    def diagonal(self) -> tuple[GaussianInt, ...]:
-        return tuple(self.rows[j][j] for j in range(len(self.rows)))
-
 
 def generator_matrix(n: int) -> GeneratorMatrix:
     """n-fold Kronecker power of [[1, 1], [0, phi]]."""
@@ -186,20 +186,6 @@ def generator_matrix(n: int) -> GeneratorMatrix:
         bottom = [pad + tuple(z.mul_phi() for z in row) for row in rows]
         rows = top + bottom
     return GeneratorMatrix(n, tuple(rows))
-
-
-def generator_combination(coeffs: Sequence[GaussianInt], n: int) -> BWPoint:
-    """Integer combination sum_i coeffs[i] * row_i of the level-n generator."""
-    gen = generator_matrix(n)
-    if len(coeffs) != len(gen.rows):
-        raise ValueError("coefficient count does not match generator size")
-    size = 1 << n
-    acc = [GaussianInt(0, 0)] * size
-    for c, row in zip(coeffs, gen.rows):
-        if c.re or c.im:
-            for j in range(size):
-                acc[j] = acc[j] + c * row[j]
-    return BWPoint.unchecked(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +257,6 @@ def multilinear_interpolate(
     except NotDivisible as exc:
         raise NotAMember(str(exc)) from exc
     size = len(pairs)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"vector length {size} is not a power of two")
     n = size.bit_length() - 1
     m = [GaussianInt(a, b) for a, b in pairs]
     for b in range(n):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from bwlist.arith import CVector, GaussianInt, phi_pow
 from bwlist.decode import DecodeEntry, DecodeList, InvariantError
@@ -140,30 +140,6 @@ class Subspace:
         for row in self.basis:
             span += [v ^ row for v in span]
         return span
-
-    def contains(self, mask: int) -> bool:
-        for row in self.basis:
-            if mask and mask.bit_length() == row.bit_length():
-                mask ^= row
-        return mask == 0
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[int], ambient: int) -> Subspace:
-        rows: list[int] = []
-        for v in vectors:
-            for row in rows:
-                if v.bit_length() == row.bit_length():
-                    v ^= row
-            if v:
-                rows.append(v)
-                rows.sort(key=int.bit_length, reverse=True)
-        # back-substitute to clear pivot bits from other rows
-        for i, row in enumerate(rows):
-            pivot = 1 << (row.bit_length() - 1)
-            for j in range(len(rows)):
-                if j != i and rows[j] & pivot:
-                    rows[j] ^= row
-        return cls(tuple(rows), ambient)
 
 
 def gaussian_binomial(n: int, k: int) -> int:

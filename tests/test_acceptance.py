@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from bwlist.arith import CVector, QComplex, half_relation, rsd
-from bwlist.bounds import lower_eps, validate_bounds
+from bwlist.bounds import lower_eps, random_word, validate_bounds
 from bwlist.decode import CostCounter, list_decode, list_decode_parallel
 from bwlist.lattice import (
     automorphism_t,
@@ -42,13 +42,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _rand_word(rng: random.Random, n: int) -> CVector:
-    def part() -> Fraction:
-        return Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
-
-    return CVector(QComplex(part(), part()) for _ in range(1 << n))
-
-
 def test_01_decoder_matches_exhaustive_oracle() -> None:
     radii = (Fraction(1, 4), Fraction(1, 2), Fraction(5, 8),
              Fraction(3, 4), Fraction(9, 10), Fraction(1))
@@ -56,7 +49,7 @@ def test_01_decoder_matches_exhaustive_oracle() -> None:
     total = 0
     for n in range(4):
         for trial in range(100):
-            word = _rand_word(random.Random(1_000_003 * n + trial), n)
+            word = random_word(random.Random(1_000_003 * n + trial), n)
             for eta in radii:
                 total += 1
                 if (list_decode(word, eta).to_lines()
@@ -176,7 +169,7 @@ def test_06_structural_invariants_hold_on_random_members() -> None:
                 if not is_member(swap_halves(wv)):
                     failures.append(f"n={n}: swapped halves not a member")
                     break
-                x = _rand_word(rng, n)
+                x = random_word(rng, n)
                 if rsd(automorphism_t(x), t_w) != rsd(x, wv):
                     failures.append(f"n={n}: transform changed a distance")
                     break
@@ -224,7 +217,7 @@ def test_07_operation_count_scales_as_grid_squared() -> None:
     ratios = []
     walls = {}
     for n in range(4, 11):
-        word = _rand_word(random.Random(31 + n), n)
+        word = random_word(random.Random(31 + n), n)
         counter = CostCounter()
         start = time.perf_counter()
         list_decode(word, Fraction(1, 4), counter=counter)
@@ -241,7 +234,7 @@ def test_08_worker_count_never_changes_output() -> None:
     cells = 0
     for n in range(9):
         for eta in (Fraction(1, 4), Fraction(3, 4)):
-            word = _rand_word(random.Random(97 * n + eta.numerator), n)
+            word = random_word(random.Random(97 * n + eta.numerator), n)
             outs = [list_decode_parallel(word, eta, w).to_lines()
                     for w in (1, 2, 8)]
             cells += 1

@@ -11,8 +11,6 @@ from bwlist.arith import (
     GaussianInt,
     NotDivisible,
     QComplex,
-    format_qcomplex,
-    format_rational,
     format_vector,
     half_relation,
     parse_qcomplex,
@@ -20,7 +18,6 @@ from bwlist.arith import (
     parse_vector,
     phi_pow,
     rsd,
-    scaled_to_vector,
     vector_to_scaled,
 )
 
@@ -33,7 +30,6 @@ def test_gaussian_int_ring_ops() -> None:
     assert -a == GaussianInt(-2, 1)
     assert a * b == GaussianInt(-2, 11)
     assert 3 * a == GaussianInt(6, -3)
-    assert a.conjugate() == GaussianInt(2, 1)
     assert a.norm_sq() == 5
 
 
@@ -67,7 +63,6 @@ def test_qcomplex_exact_ops() -> None:
     assert z * w == QComplex(Fraction(7, 4), Fraction(-1))
     assert Fraction(1, 3) * z == QComplex(Fraction(1, 6), Fraction(-1, 4))
     assert z.norm_sq() == Fraction(1, 4) + Fraction(9, 16)
-    assert z.conjugate() == QComplex(Fraction(1, 2), Fraction(3, 4))
 
 
 def test_qcomplex_div_phi_always_exact() -> None:
@@ -158,7 +153,7 @@ def test_half_relation_needs_two_halves() -> None:
 
 def test_rational_text_round_trip() -> None:
     for text in ("0", "-3", "5/4", "-7/2"):
-        assert format_rational(parse_rational(text)) == text
+        assert str(parse_rational(text)) == text
     assert parse_rational("2/4") == Fraction(1, 2)
     for bad in ("", "1.5", "1/0", "1 /2", "+3"):
         with pytest.raises(ValueError):
@@ -167,8 +162,8 @@ def test_rational_text_round_trip() -> None:
 
 def test_qcomplex_text_round_trip() -> None:
     assert parse_qcomplex("3/2,-1") == QComplex(Fraction(3, 2), -1)
-    assert format_qcomplex(QComplex(Fraction(3, 2), -1)) == "3/2,-1"
-    assert format_qcomplex(GaussianInt(0, 2)) == "0,2"
+    assert str(QComplex(Fraction(3, 2), -1)) == "3/2,-1"
+    assert str(GaussianInt(0, 2)) == "0,2"
     assert parse_qcomplex("1, 2") == QComplex(1, 2)  # spacing inside a pair is tolerated
     for bad in ("1", "1,2,3", "a,b", "1,"):
         with pytest.raises(ValueError):
@@ -196,6 +191,5 @@ def test_scaled_representation_round_trip() -> None:
                         for _ in range(1 << n))
             pairs, den = vector_to_scaled(v)
             assert den >= 1
-            assert scaled_to_vector(pairs, den) == v
             for (a, b), z in zip(pairs, v):
                 assert QComplex(Fraction(a, den), Fraction(b, den)) == z

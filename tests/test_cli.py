@@ -83,9 +83,18 @@ def test_bad_eta_is_usage_error(capsys, monkeypatch) -> None:
     assert err != ""
 
 
+def test_negative_max_list_is_usage_error(capsys, monkeypatch) -> None:
+    code, out, err = _run(["decode", "--eta", "1/100", "--max-list", "-1"],
+                          capsys, stdin="5,0 0,0", monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "max_list must be >= 0" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys) -> None:
     assert main([]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+    assert main(["bench", "--eta", "1/4"]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -144,18 +153,6 @@ def test_bounds_reports_and_exit(capsys) -> None:
     assert lines[0] == "n\teta\tword\tmeasured\tlower\tupper\tformula\tok"
     assert len(lines) > 1
     assert all(line.endswith("\ttrue") for line in lines[1:])
-
-
-def test_bench_reports_ops_for_single_worker(capsys) -> None:
-    code, out, _ = _run(
-        ["bench", "--n-min", "3", "--n-max", "3", "--eta", "1/4"], capsys)
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "n\tworkers\trep\tseconds\tops"
-    n, workers, rep, seconds, ops = lines[1].split("\t")
-    assert (n, workers, rep) == ("3", "1", "0")
-    assert int(ops) > 0
-    assert float(seconds) >= 0
 
 
 def test_console_script_entry_point() -> None:

@@ -144,6 +144,17 @@ def test_max_list_cap_raises() -> None:
     assert exc.value.size > 3
 
 
+def test_negative_max_list_rejected_before_work() -> None:
+    # the list for this word is empty, so only the argument check can fire
+    r = CVector([QComplex(5, 0), QComplex(0, 0)])
+    counter = CostCounter()
+    with pytest.raises(ValueError, match="max_list must be >= 0"):
+        list_decode(r, Fraction(1, 100), max_list=-1, counter=counter)
+    assert counter.ops == 0
+    with pytest.raises(ValueError, match="max_list must be >= 0"):
+        list_decode_parallel(r, Fraction(1, 100), 2, max_list=-1)
+
+
 def test_max_list_cap_allows_exact_fit() -> None:
     r = CVector([HALF_PHI, HALF_PHI])
     result = list_decode(r, Fraction(1, 2), max_list=8)

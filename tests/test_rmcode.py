@@ -10,7 +10,6 @@ from bwlist.arith import CVector, GaussianInt, phi_pow, rsd
 from bwlist.lattice import NotAMember, is_member, random_member
 from bwlist.rmcode import (
     LowerBoundInstance,
-    Subspace,
     algebraic_normal_form,
     bw_from_rm_layers,
     bw_to_rm_layers,
@@ -81,18 +80,11 @@ def test_enumerate_subspaces_matches_count() -> None:
             spaces = list(enumerate_subspaces(n, k))
             assert len(spaces) == gaussian_binomial(n, k)
             assert len({s.basis for s in spaces}) == len(spaces)
+            assert len({frozenset(s.points()) for s in spaces}) == len(spaces)
             for s in spaces:
                 assert s.dim == k
                 pts = list(s.points())
                 assert len(pts) == 1 << k
-                assert all(s.contains(p) for p in pts)
-
-
-def test_subspace_contains_uses_span() -> None:
-    s = Subspace.from_vectors((0b110, 0b011), 3)
-    assert s.dim == 2
-    assert s.contains(0b101)
-    assert not s.contains(0b100)
 
 
 def test_char_vector_degree_matches_codimension() -> None:
