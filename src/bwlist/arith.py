@@ -156,11 +156,8 @@ class QComplex:
         """Division by phi; always exact over the rationals."""
         return QComplex((self.re + self.im) / 2, (self.im - self.re) / 2)
 
-    def is_gaussian(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
-
     def to_gaussian(self) -> GaussianInt:
-        if not self.is_gaussian():
+        if self.re.denominator != 1 or self.im.denominator != 1:
             raise NotDivisible(f"{self} has non-integer parts")
         return GaussianInt(int(self.re), int(self.im))
 
@@ -187,6 +184,13 @@ def _as_qcomplex(value: ScalarLike) -> QComplex:
 # ---------------------------------------------------------------------------
 
 
+def level_of(size: int) -> int:
+    """The level n with size == 2**n; ValueError for any other length."""
+    if size <= 0 or size & (size - 1):
+        raise ValueError(f"length {size} is not a power of two")
+    return size.bit_length() - 1
+
+
 class CVector:
     """Immutable vector of QComplex coordinates with power-of-two length."""
 
@@ -194,13 +198,7 @@ class CVector:
 
     def __init__(self, coords: Iterable[ScalarLike]) -> None:
         self.coords = tuple(_as_qcomplex(c) for c in coords)
-        size = len(self.coords)
-        if size == 0 or size & (size - 1):
-            raise ValueError(f"vector length {size} is not a power of two")
-
-    @classmethod
-    def zero(cls, n: int) -> CVector:
-        return cls([QComplex()] * (1 << n))
+        level_of(len(self.coords))
 
     @classmethod
     def join(cls, left: CVector, right: CVector) -> CVector:
@@ -267,10 +265,6 @@ class CVector:
     def norm_sq(self) -> Fraction:
         return sum((a.norm_sq() for a in self.coords), Fraction(0))
 
-    def rsd(self, other: CVector) -> Fraction:
-        self._check_same_level(other)
-        return (self - other).norm_sq() / len(self.coords)
-
     def to_gaussian(self) -> tuple[GaussianInt, ...]:
         return tuple(a.to_gaussian() for a in self.coords)
 
@@ -280,7 +274,7 @@ class CVector:
 
 def rsd(x: CVector, y: CVector) -> Fraction:
     """Relative squared distance ||x - y||^2 / len(x)."""
-    return x.rsd(y)
+    return (x - y).norm_sq() / len(x)
 
 
 def half_relation(r: CVector, w: CVector) -> tuple[Fraction, Fraction, Fraction]:

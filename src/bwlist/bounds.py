@@ -22,9 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-from mpmath import mp
+from typing import Optional
 
 from bwlist.arith import CVector, QComplex, RationalLike
 from bwlist.decode import list_decode
@@ -114,6 +112,9 @@ def lower_eps(eps: RationalLike, n: int) -> int:
     if t is not None:
         e = (n - t) * (t - 1)
         return (1 << e) if e > 0 else 1
+    # imported here: only this branch needs it, and it slows CLI startup
+    from mpmath import mp
+
     prev = None
     prec = 120
     while prec <= 1_000_000:
@@ -183,20 +184,14 @@ def random_word(rng: random.Random, n: int) -> CVector:
     return CVector(QComplex(part(), part()) for _ in range(1 << n))
 
 
-def validate_bounds(
-    n: int,
-    trials: int = 10,
-    eta_grid: Optional[Sequence[RationalLike]] = None,
-    seed: int = 0,
-) -> list[BoundReport]:
-    """Decode a word battery per radius and check the closed forms."""
-    if eta_grid is None:
-        eta_grid = DEFAULT_ETA_GRID
+def validate_bounds(n: int, trials: int = 10,
+                    seed: int = 0) -> list[BoundReport]:
+    """Decode a word battery per radius in DEFAULT_ETA_GRID and check the
+    closed forms."""
     half = Fraction(1, 2)
     adversarial = CVector([QComplex(half, half)] * (1 << n))
     reports = []
-    for gi, eta in enumerate(eta_grid):
-        eta = Fraction(eta)
+    for gi, eta in enumerate(DEFAULT_ETA_GRID):
         formula, upper = applicable_upper(eta, n)
         words: list[tuple[str, CVector, int]] = [
             ("all-half-phi", adversarial, 0)

@@ -94,8 +94,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    gen = generator_matrix(args.n)
-    _emit(args, [format_vector(row) for row in gen.rows])
+    _emit(args, [format_vector(row) for row in generator_matrix(args.n)])
     return EXIT_OK
 
 

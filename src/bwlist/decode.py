@@ -111,23 +111,21 @@ class DecodeEntry:
 
 @dataclass(frozen=True)
 class DecodeList:
-    """All members within relative squared distance `radius` of `received`."""
+    """The members within a radius of a received word, each with its exact
+    relative squared distance, in canonical order."""
 
-    received: CVector
-    radius: Fraction
     entries: tuple[DecodeEntry, ...]
 
     @classmethod
-    def from_scaled(cls, received: CVector, radius: Fraction, den: int,
-                    entries) -> DecodeList:
+    def from_scaled(cls, size: int, den: int, entries) -> DecodeList:
         """Package scaled-integer entries in canonical order.
 
         Each entry is ((re, im) pairs, tot) with tot the exact scaled
         squared distance sum_j |den * r_j - den * w_j|^2, so the relative
-        squared distance is tot / (den^2 * N), N = len(received).
+        squared distance is tot / (den^2 * size), size the vector length.
         """
-        den_sq_n = den * den * len(received)
-        return cls(received, radius, tuple(
+        den_sq_n = den * den * size
+        return cls(tuple(
             DecodeEntry(BWPoint.unchecked(GaussianInt(x, y) for x, y in pt),
                         Fraction(tot, den_sq_n))
             for pt, tot in sorted(entries)
@@ -326,7 +324,7 @@ def list_decode(
     nums, den = vector_to_scaled(r)
     pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
                        counter, max_list)
-    return DecodeList.from_scaled(r, eta, den, pts)
+    return DecodeList.from_scaled(len(r), den, pts)
 
 
 def list_decode_parallel(
@@ -359,7 +357,7 @@ def list_decode_parallel(
     depth = min(depth, n - 3)
     if workers == 1 or depth < 1:
         pts = _decode_core(nums, den, n, p, q, None, max_list)
-        return DecodeList.from_scaled(r, eta, den, pts)
+        return DecodeList.from_scaled(len(r), den, pts)
 
     # levels[k] holds the words at depth k; node i's children are 4i..4i+3
     levels = [[(nums, den)]]
@@ -381,7 +379,7 @@ def list_decode_parallel(
                               pool, workers)
                 for i, (words, wden) in enumerate(levels[k])
             ]
-    return DecodeList.from_scaled(r, eta, den, lists[0])
+    return DecodeList.from_scaled(len(r), den, lists[0])
 
 
 def combine_candidates(pairing: str, known: Sequence[GaussianInt],

@@ -25,6 +25,7 @@ from bwlist.arith import (
     NotDivisible,
     QComplex,
     format_vector,
+    level_of,
     phi_pow,
 )
 
@@ -44,27 +45,18 @@ PointLike = Union["BWPoint", CVector, Sequence]
 def _as_pairs(x: PointLike) -> list[GPair]:
     """Normalize to integer (re, im) pairs of power-of-two length.
 
-    Raises NotDivisible on non-integer coordinates, then ValueError on a
-    length that is not a power of two.
+    Raises ValueError on a length that is not a power of two, then
+    NotDivisible on a non-integer coordinate.
     """
-    if isinstance(x, BWPoint):
-        out = [(z.re, z.im) for z in x.coords]
-    elif isinstance(x, CVector):
-        out = [(int(z.re), int(z.im)) for z in x.to_gaussian()]
-    else:
-        out = []
-        for z in x:
-            if isinstance(z, GaussianInt):
-                out.append((z.re, z.im))
-            elif isinstance(z, QComplex):
-                g = z.to_gaussian()
-                out.append((g.re, g.im))
-            else:
-                raise TypeError(
-                    f"unsupported coordinate type: {type(z).__name__}")
-    size = len(out)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"vector length {size} is not a power of two")
+    coords = x.coords if isinstance(x, (BWPoint, CVector)) else tuple(x)
+    level_of(len(coords))
+    out = []
+    for z in coords:
+        if isinstance(z, QComplex):
+            z = z.to_gaussian()
+        elif not isinstance(z, GaussianInt):
+            raise TypeError(f"unsupported coordinate type: {type(z).__name__}")
+        out.append((z.re, z.im))
     return out
 
 
@@ -162,19 +154,12 @@ class BWPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Rows generate the level-n lattice over Z[i]; upper triangular."""
+def generator_matrix(n: int) -> tuple[tuple[GaussianInt, ...], ...]:
+    """Rows of the n-fold Kronecker power of [[1, 1], [0, phi]].
 
-    n: int
-    rows: tuple[tuple[GaussianInt, ...], ...]
-
-    def __iter__(self) -> Iterator[tuple[GaussianInt, ...]]:
-        return iter(self.rows)
-
-
-def generator_matrix(n: int) -> GeneratorMatrix:
-    """n-fold Kronecker power of [[1, 1], [0, phi]]."""
+    The rows generate the level-n lattice over Z[i]; the matrix is upper
+    triangular.
+    """
     if n < 0:
         raise ValueError("level must be >= 0")
     zero = GaussianInt(0, 0)
@@ -185,7 +170,7 @@ def generator_matrix(n: int) -> GeneratorMatrix:
         pad = (zero,) * size
         bottom = [pad + tuple(z.mul_phi() for z in row) for row in rows]
         rows = top + bottom
-    return GeneratorMatrix(n, tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -214,43 +199,30 @@ def automorphism_t(x: CVector) -> CVector:
 # ---------------------------------------------------------------------------
 
 
-def multilinear_evaluate(
-    coeffs: Sequence[GaussianInt],
-    residual: Sequence[GaussianInt] | None = None,
-) -> BWPoint:
-    """Assemble the member with coordinates sum_{S subset j} a_S phi^|S| + phi^n g_j.
+def multilinear_evaluate(coeffs: Sequence[GaussianInt]) -> BWPoint:
+    """Assemble the member with coordinates sum_{S subset j} a_S phi^|S|.
 
-    `coeffs` has one Gaussian-integer entry per subset mask S in [0, 2**n);
-    `residual` defaults to zero.  Every output is a member.
+    `coeffs` has one Gaussian-integer entry per subset mask S in [0, 2**n).
+    Every output is a member.
     """
     size = len(coeffs)
-    if size == 0 or size & (size - 1):
-        raise ValueError("coefficient count is not a power of two")
-    n = size.bit_length() - 1
+    n = level_of(size)
     vals = [coeffs[s] * phi_pow(s.bit_count()) for s in range(size)]
     for b in range(n):
         bit = 1 << b
         for j in range(size):
             if j & bit:
                 vals[j] = vals[j] + vals[j ^ bit]
-    if residual is not None:
-        if len(residual) != size:
-            raise ValueError("residual length does not match coefficients")
-        top = phi_pow(n)
-        for j in range(size):
-            vals[j] = vals[j] + top * residual[j]
     return BWPoint.unchecked(vals)
 
 
-def multilinear_interpolate(
-    x: PointLike,
-) -> tuple[tuple[GaussianInt, ...], tuple[GaussianInt, ...]]:
-    """Invert `multilinear_evaluate`; canonical form has residual zero.
+def multilinear_interpolate(x: PointLike) -> tuple[GaussianInt, ...]:
+    """Invert `multilinear_evaluate`: the coefficients a_S of a member.
 
-    Returns (coeffs, residual) with residual identically zero: the Moebius
-    coefficient at mask S of any member is divisible by phi^|S|, so the
-    direct inversion a_S = m_S / phi^|S| is always exact.  A failed
-    division is exactly a membership failure and raises NotAMember.
+    The Moebius coefficient at mask S of any member is divisible by
+    phi^|S|, so the direct inversion a_S = m_S / phi^|S| is always exact.
+    A failed division is exactly a membership failure and raises
+    NotAMember.
     """
     try:
         pairs = _as_pairs(x)
@@ -275,8 +247,7 @@ def multilinear_interpolate(
                 f"coefficient at mask {s} is not divisible by phi^{s.bit_count()}"
             ) from None
         coeffs.append(a)
-    zero = GaussianInt(0, 0)
-    return tuple(coeffs), (zero,) * size
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +255,18 @@ def multilinear_interpolate(
 # ---------------------------------------------------------------------------
 
 
-def _random_pairs(rng: random.Random, n: int, bound: int) -> list[GPair]:
+def _random_pairs(rng: random.Random, n: int) -> list[GPair]:
     if n == 0:
-        return [(rng.randint(-bound, bound), rng.randint(-bound, bound))]
-    u = _random_pairs(rng, n - 1, bound)
-    v = _random_pairs(rng, n - 1, bound)
+        return [(rng.randint(-3, 3), rng.randint(-3, 3))]
+    u = _random_pairs(rng, n - 1)
+    v = _random_pairs(rng, n - 1)
     return u + [(a + c - d, b + c + d) for (a, b), (c, d) in zip(u, v)]
 
 
-def random_member(rng: random.Random, n: int, coeff_bound: int = 3) -> BWPoint:
-    """Sample a member by drawing the recursive [u, u + phi*v] leaves at random."""
-    pairs = _random_pairs(rng, n, coeff_bound)
+def random_member(rng: random.Random, n: int) -> BWPoint:
+    """Sample a member by drawing the recursive [u, u + phi*v] leaves at random.
+
+    Each level-0 leaf has real and imaginary parts uniform in [-3, 3].
+    """
+    pairs = _random_pairs(rng, n)
     return BWPoint.unchecked(GaussianInt(a, b) for a, b in pairs)

@@ -101,7 +101,7 @@ def oracle_list(
     for pt, _ in entries:
         if not member_pairs(pt):
             raise InvariantError(f"oracle emitted non-member {pt}")
-    return DecodeList.from_scaled(r, eta, den, entries)
+    return DecodeList.from_scaled(len(r), den, entries)
 
 
 def shortest_vectors(
@@ -127,6 +127,4 @@ def shortest_vectors(
     if not norms:
         raise InvariantError("no nonzero member found at relative distance 1")
     min_norm = min(norms)
-    received = CVector.zero(n)
-    return min_norm, DecodeList.from_scaled(received, Fraction(1), 1,
-                                            norms[min_norm])
+    return min_norm, DecodeList.from_scaled(size, 1, norms[min_norm])

@@ -27,48 +27,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
-from bwlist.arith import CVector, GaussianInt, phi_pow
+from bwlist.arith import CVector, GaussianInt, level_of, phi_pow
 from bwlist.decode import DecodeEntry, DecodeList, InvariantError
 from bwlist.lattice import BWPoint, NotAMember, PointLike
 
 Bits = tuple[int, ...]
-BitsLike = Union["RMCodeword", Sequence[int]]
 
 
-@dataclass(frozen=True)
-class RMCodeword:
-    """A word of RM(degree, nvars); bits[j] is the value at point j."""
-
-    bits: Bits
-    degree: int
-    nvars: int
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-def _as_bits(word: BitsLike) -> Bits:
-    if isinstance(word, RMCodeword):
-        return word.bits
+def _as_bits(word: Sequence[int]) -> Bits:
     bits = tuple(word)
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     return bits
 
 
-def _check_length(bits: Bits) -> int:
-    size = len(bits)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"word length {size} is not a power of two")
-    return size.bit_length() - 1
-
-
-def algebraic_normal_form(word: BitsLike) -> Bits:
+def algebraic_normal_form(word: Sequence[int]) -> Bits:
     """Monomial coefficients: coeff[S] = XOR of bits over subsets of S."""
     bits = _as_bits(word)
-    n = _check_length(bits)
+    n = level_of(len(bits))
     coeffs = list(bits)
     for b in range(n):
         bit = 1 << b
@@ -78,7 +56,7 @@ def algebraic_normal_form(word: BitsLike) -> Bits:
     return tuple(coeffs)
 
 
-def rm_is_codeword(word: BitsLike, degree: int) -> bool:
+def rm_is_codeword(word: Sequence[int], degree: int) -> bool:
     """True iff the word has algebraic degree <= degree."""
     coeffs = algebraic_normal_form(word)
     return all(
@@ -86,7 +64,7 @@ def rm_is_codeword(word: BitsLike, degree: int) -> bool:
     )
 
 
-def rm_enumerate(degree: int, nvars: int) -> Iterator[RMCodeword]:
+def rm_enumerate(degree: int, nvars: int) -> Iterator[Bits]:
     """All codewords of RM(degree, nvars), coefficient order."""
     if nvars < 0:
         raise ValueError("nvars must be >= 0")
@@ -97,20 +75,15 @@ def rm_enumerate(degree: int, nvars: int) -> Iterator[RMCodeword]:
         for pos, s in enumerate(monomials):
             if index >> pos & 1:
                 coeffs[s] = 1
-        # evaluate: the XOR zeta transform is its own inverse
-        for b in range(nvars):
-            bit = 1 << b
-            for j in range(size):
-                if j & bit:
-                    coeffs[j] ^= coeffs[j ^ bit]
-        yield RMCodeword(tuple(coeffs), degree, nvars)
+        # evaluate: the XOR Moebius transform is its own inverse
+        yield algebraic_normal_form(coeffs)
 
 
 def rm_min_distance(degree: int, nvars: int) -> int:
     """Minimum Hamming weight over nonzero codewords, by enumeration."""
     best = None
     for word in rm_enumerate(degree, nvars):
-        weight = sum(word.bits)
+        weight = sum(word)
         if weight and (best is None or weight < best):
             best = weight
     if best is None:
@@ -130,10 +103,6 @@ class Subspace:
 
     basis: tuple[int, ...]
     ambient: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def points(self) -> list[int]:
         span = [0]
@@ -174,12 +143,12 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
         yield from fill(0, [])
 
 
-def subspace_char_vector(space: Subspace) -> RMCodeword:
-    """0/1 indicator of the subspace; degree is the codimension."""
+def subspace_char_vector(space: Subspace) -> Bits:
+    """0/1 indicator of the subspace; its degree is the codimension."""
     bits = [0] * (1 << space.ambient)
     for v in space.points():
         bits[v] = 1
-    return RMCodeword(tuple(bits), space.ambient - space.dim, space.ambient)
+    return tuple(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +157,7 @@ def subspace_char_vector(space: Subspace) -> RMCodeword:
 
 
 def bw_from_rm_layers(
-    layers: Sequence[BitsLike],
+    layers: Sequence[Sequence[int]],
     residual: Sequence[GaussianInt] | None = None,
 ) -> BWPoint:
     """Assemble sum_d phi^d * layer_d + phi^n * residual as a lattice point.
@@ -225,7 +194,7 @@ def bw_from_rm_layers(
 
 def bw_to_rm_layers(
     x: PointLike,
-) -> tuple[tuple[RMCodeword, ...], tuple[GaussianInt, ...]]:
+) -> tuple[tuple[Bits, ...], tuple[GaussianInt, ...]]:
     """Peel a member into its RM layers and Gaussian residual.
 
     Inverts `bw_from_rm_layers` exactly when it succeeds.  Raises
@@ -250,7 +219,7 @@ def bw_to_rm_layers(
             a -= bit
             nxt.append(((a + b) // 2, (b - a) // 2))
         work = nxt
-        layers.append(RMCodeword(bits, d, n))
+        layers.append(bits)
     residual = tuple(GaussianInt(a, b) for a, b in work)
     return tuple(layers), residual
 
@@ -270,7 +239,6 @@ class LowerBoundInstance:
     distance 1 - 2**(k-n) <= 1 - eps from the word.
     """
 
-    eps: Fraction
     scale_exp: int
     received: CVector
     witnesses: DecodeList
@@ -289,14 +257,13 @@ def lower_bound_instance(n: int, eps: Fraction | int) -> LowerBoundInstance:
     scale = phi_pow(k)
     zero = GaussianInt(0, 0)
     received = CVector([scale] + [zero] * (size - 1))
-    radius = 1 - eps
     dist_num = size - (1 << k)
     distance = Fraction(dist_num, size)
 
     entries = []
     received_g = received.to_gaussian()
     for space in enumerate_subspaces(n, n - k):
-        bits = subspace_char_vector(space).bits
+        bits = subspace_char_vector(space)
         point = BWPoint.of([scale if b else zero for b in bits])
         got = sum((z - r).norm_sq() for z, r in zip(point, received_g))
         if got != dist_num:
@@ -304,8 +271,7 @@ def lower_bound_instance(n: int, eps: Fraction | int) -> LowerBoundInstance:
                 f"witness at squared distance {got}, expected {dist_num}"
             )
         entries.append(DecodeEntry(point, distance))
-    if distance > radius:
+    if distance > 1 - eps:
         raise InvariantError("witness distance exceeds the claimed radius")
     entries.sort(key=lambda e: e.point.key())
-    witnesses = DecodeList(received, radius, tuple(entries))
-    return LowerBoundInstance(eps, k, received, witnesses)
+    return LowerBoundInstance(k, received, DecodeList(tuple(entries)))

@@ -160,3 +160,12 @@ def test_console_script_entry_point() -> None:
                           capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "1,0 1,0\n0,0 1,1\n"
+
+
+def test_cli_import_leaves_mpmath_unloaded() -> None:
+    # only bounds.lower_eps's non-dyadic branch needs mpmath, so startup of
+    # every command skips its import
+    script = "import sys, bwlist.cli; assert 'mpmath' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -133,7 +133,7 @@ def test_radius_below_reach_gives_empty_list() -> None:
 
 def test_negative_radius_rejected() -> None:
     with pytest.raises(ValueError):
-        list_decode(CVector.zero(1), Fraction(-1, 2))
+        list_decode(CVector([0, 0]), Fraction(-1, 2))
 
 
 def test_max_list_cap_raises() -> None:
@@ -198,7 +198,7 @@ def test_parallel_combine_and_depth_two_match_sequential() -> None:
 
 def test_parallel_rejects_bad_worker_count() -> None:
     with pytest.raises(ValueError):
-        list_decode_parallel(CVector.zero(1), Fraction(1, 2), 0)
+        list_decode_parallel(CVector([0, 0]), Fraction(1, 2), 0)
 
 
 def test_validation_mode_reproduces_output() -> None:

@@ -21,7 +21,7 @@ def test_oracle_base_cases() -> None:
     assert {e.point.key() for e in result} == {
         ((0, 0),), ((1, 0),), ((0, 1),), ((1, 1),),
     }
-    result = oracle_list(CVector.zero(0), 1)
+    result = oracle_list(CVector([0]), 1)
     assert len(result) == 5
 
 
@@ -59,9 +59,9 @@ def test_oracle_agrees_with_decoder_on_small_instances() -> None:
 
 def test_oracle_refuses_large_levels() -> None:
     with pytest.raises(ValueError):
-        oracle_list(CVector.zero(5), Fraction(1, 2))
+        oracle_list(CVector([0] * 32), Fraction(1, 2))
     with pytest.raises(ValueError):
-        oracle_list(CVector.zero(0), Fraction(-1, 2))
+        oracle_list(CVector([0]), Fraction(-1, 2))
 
 
 def test_minimum_norm_doubles_per_level() -> None:

@@ -45,6 +45,10 @@ def test_rm_codeword_degrees() -> None:
     assert rm_is_codeword((0, 1, 0, 1), 1)
     assert not rm_is_codeword((0, 0, 0, 1), 1)
     assert rm_is_codeword((0, 0, 0, 1), 2)
+    with pytest.raises(ValueError, match="not a power of two"):
+        rm_is_codeword((0, 1, 1), 1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        rm_is_codeword((0, 2), 1)
 
 
 def test_rm_enumerate_counts() -> None:
@@ -53,8 +57,8 @@ def test_rm_enumerate_counts() -> None:
             dim = sum(comb(nvars, i) for i in range(degree + 1))
             words = list(rm_enumerate(degree, nvars))
             assert len(words) == 1 << dim
-            assert len({w.bits for w in words}) == len(words)
-            assert all(rm_is_codeword(w.bits, degree) for w in words)
+            assert len(set(words)) == len(words)
+            assert all(rm_is_codeword(w, degree) for w in words)
 
 
 def test_rm_min_distance_closed_form() -> None:
@@ -82,7 +86,7 @@ def test_enumerate_subspaces_matches_count() -> None:
             assert len({s.basis for s in spaces}) == len(spaces)
             assert len({frozenset(s.points()) for s in spaces}) == len(spaces)
             for s in spaces:
-                assert s.dim == k
+                assert len(s.basis) == k
                 pts = list(s.points())
                 assert len(pts) == 1 << k
 
@@ -92,11 +96,10 @@ def test_char_vector_degree_matches_codimension() -> None:
         for k in range(n + 1):
             for s in enumerate_subspaces(n, k):
                 word = subspace_char_vector(s)
-                assert sum(word.bits) == 1 << k
-                assert word.degree == n - k
-                assert rm_is_codeword(word.bits, n - k)
+                assert sum(word) == 1 << k
+                assert rm_is_codeword(word, n - k)
                 if n - k > 0:
-                    assert not rm_is_codeword(word.bits, n - k - 1)
+                    assert not rm_is_codeword(word, n - k - 1)
 
 
 def test_layer_round_trip_on_members() -> None:
@@ -107,7 +110,7 @@ def test_layer_round_trip_on_members() -> None:
             layers, residual = bw_to_rm_layers(member)
             assert len(layers) == n
             for d, layer in enumerate(layers):
-                assert rm_is_codeword(layer.bits, d)
+                assert rm_is_codeword(layer, d)
             assert bw_from_rm_layers(layers, residual) == member
 
 
@@ -148,11 +151,8 @@ def test_level6_degree_valid_stack_outside_lattice() -> None:
 
 def test_layer_assembly_validates_degrees() -> None:
     # a degree-1 word is not allowed in the degree-0 slot
-    from bwlist.rmcode import RMCodeword
-
-    bad = RMCodeword(bits=(0, 1), degree=0, nvars=1)
-    with pytest.raises(ValueError):
-        bw_from_rm_layers([bad])
+    with pytest.raises(ValueError, match="layer 0 fails the degree-0 check"):
+        bw_from_rm_layers([(0, 1)])
 
 
 def test_lower_bound_instance_small() -> None:
