@@ -5,7 +5,6 @@ from bwlist.arith import (
     GaussianInt,
     NotDivisible,
     QComplex,
-    half_relation,
     rsd,
 )
 from bwlist.decode import DecodeEntry, DecodeList, MaxListExceeded, list_decode
@@ -22,7 +21,6 @@ __all__ = [
     "NotDivisible",
     "QComplex",
     "generator_matrix",
-    "half_relation",
     "is_member",
     "list_decode",
     "rsd",

@@ -277,27 +277,6 @@ def rsd(x: CVector, y: CVector) -> Fraction:
     return (x - y).norm_sq() / len(x)
 
 
-def half_relation(r: CVector, w: CVector) -> tuple[Fraction, Fraction, Fraction]:
-    """Split rsd(r, w) across the two halves of the recursion.
-
-    Writing w = [u, u + phi*v] (v is determined exactly for any rational w),
-    returns (eta, eta0, eta1) with
-
-        eta  = rsd(r, w)
-        eta0 = rsd(r0, u)
-        eta1 = rsd((r1 - u) / phi, v)
-
-    which always satisfy eta = eta0/2 + eta1.  Requires level >= 1.
-    """
-    r0, r1 = r.halves()
-    w0, w1 = w.halves()
-    v = (w1 - w0).div_phi()
-    eta = rsd(r, w)
-    eta0 = rsd(r0, w0)
-    eta1 = rsd((r1 - w0).div_phi(), v)
-    return eta, eta0, eta1
-
-
 # ---------------------------------------------------------------------------
 # Canonical text formats
 # ---------------------------------------------------------------------------

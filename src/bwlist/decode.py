@@ -17,19 +17,28 @@ Internally everything runs on integer (re, im) pairs over one common
 denominator so that every comparison is an integer comparison; Fractions
 appear only at the public boundary.
 
-Candidate pairs are screened by a fused reconstruct-and-test scan: the
-child lists carry each point's exact scaled squared distance, so a pair's
-total distance accumulates coordinate by coordinate and the scan breaks
-out early once it exceeds the radius; only surviving candidates are ever
-materialized.
+Candidate pairs are screened by a reconstruct-and-test scan: the child
+lists carry each point's exact scaled squared distance, so a pair's total
+distance accumulates coordinate by coordinate from the known half's total,
+and a pair is dropped once its partial total exceeds the radius; only
+surviving candidates are ever materialized.  For a fixed known half,
+coordinate j's term depends only on the transformed half's coordinate j,
+so inner lists that share coordinate prefixes share that work: an inner
+list of at least _TRIE_MIN points goes into a radix trie keyed coordinate
+by coordinate, and each known half walks it depth first, pruning a whole
+subtree once its partial total passes the radius (the partial-distance
+pruning of sphere decoding, run as a trie join).  Shorter inner lists, as
+on sparse words and the deep hole, share too little to pay for a trie and
+are scanned flat, pair by pair.
 
 Operation-counting convention (CostCounter, reported as `decode.ops` by
 perfbench's traced run):
 
 * base case: one op per grid cell examined;
 * each internal node: 2N ops for forming the two transformed half-words;
-* each candidate pair examined: N ops, the envelope of the fused
-  reconstruct-and-test scan.
+* each candidate pair: N ops, the envelope of the reconstruct-and-test
+  scan, counted from the list sizes whether the flat scan or the trie
+  join visits it.
 
 The recursion is deliberately literal — all four child calls are always
 made even when some child lists come back empty — so counted ops track the
@@ -38,13 +47,16 @@ made even when some child lists come back empty — so counted ops track the
 A `max_list` cap aborts the whole decode with MaxListExceeded as soon as
 *any* list, intermediate or final, exceeds it: intermediate lists can blow
 up near eta = 1 even when the final list is small, and the cap exists to
-protect batch runs from exactly that.
+protect batch runs from exactly that.  The base case checks the cap as
+its grid grows, so a huge radius fails before the grid is built; a combine
+checks it once its scan is done.
 
 Every combine runs through one pair scan, `_scan_blocks`.  The parallel
 decoder shares the recursion rather than copying it: it splits the top d
 levels breadth first, decodes the 4**d deepest words on a process pool,
 and folds back up with the same `_combine_core`, which hands a large
-node's pair scan to the pool in slices of its outer lists.
+node's pair scan to the pool in slices of its outer lists; each worker
+builds the trie of its slice's inner list itself.
 
 Set the BWLIST_VALIDATE environment variable to re-check every candidate
 that survives the distance scan against the lattice (slow; meant for the
@@ -76,6 +88,10 @@ _VALIDATE = os.environ.get("BWLIST_VALIDATE", "") not in ("", "0")
 
 # chunk the candidate-pair space across workers above this many pairs
 _PAR_COMBINE_MIN = 50_000
+
+# join outers against a radix trie of any inner list at least this long;
+# shorter inner lists are scanned flat, pair by pair
+_TRIE_MIN = 8
 
 
 class MaxListExceeded(RuntimeError):
@@ -178,10 +194,11 @@ def _decode_core(nums, den, n, p, q, counter, max_list):
                 tot = cx + dy * dy
                 if tot <= limit:
                     out.append((((x, y),), tot))
+                    # the cap fires before the rest of the grid is built
+                    if max_list is not None and len(out) > max_list:
+                        raise MaxListExceeded(len(out), max_list)
         if counter is not None:
             counter.ops += (xhi - xlo + 1) * (yhi - ylo + 1)
-        if max_list is not None and len(out) > max_list:
-            raise MaxListExceeded(len(out), max_list)
         return out
 
     r0, r1, rp, rm, den2 = _split_words(nums, den, n)
@@ -235,26 +252,129 @@ def _scan_pair(known_pt, known_tot, trans_pt, nums, den, half, limit,
     return known_pt + body, tot
 
 
+def _inner_trie(inners, den):
+    """Radix trie of the inner list, keyed coordinate by coordinate.
+
+    Coordinate j of inner point T is keyed by den * (1-i) * T_j as an
+    (re, im) pair, the term every pairing subtracts from its outer's
+    scaled residual.  A node is a dict from key to either a child node or,
+    where only one point shares the prefix, that point's index in
+    `inners`: the leaf stores the point whole.  Returns (root, keys) with
+    keys[i] the full key tuple of inners[i].  Built by insertion, without
+    recursion; the inner points must be distinct.
+    """
+    keys = [tuple((den * (c + d), den * (d - c)) for c, d in pt)
+            for pt, _ in inners]
+    root = {}
+    for i, kt in enumerate(keys):
+        node, j = root, 0
+        k = kt[0]
+        child = node.get(k)
+        while child.__class__ is dict:
+            node = child
+            j += 1
+            k = kt[j]
+            child = node.get(k)
+        if child is not None:
+            # split the leaf: a chain of nodes down the shared prefix, then
+            # both points hang where their keys part
+            other = keys[child]
+            while True:
+                sub = {}
+                node[k] = sub
+                node = sub
+                j += 1
+                k = kt[j]
+                if other[j] != k:
+                    node[other[j]] = child
+                    break
+        node[k] = i
+    return root, keys
+
+
+def _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec):
+    """The trie join of one pairing: every outer against the inner trie;
+    survivors go into `out` as point: tot.
+
+    For an outer K the scaled residual at coordinate j is
+    t_sign * (t_sign * (R_j - k_sign * den * K_j) - key_j), so one base
+    vector per outer turns every trie edge into a subtraction and a square.
+    The walk is depth first on an explicit stack and drops a subtree once
+    its partial total passes `limit`; a leaf scans the rest of its point
+    flat.  Only survivors are reconstructed.
+    """
+    t_sign, k_sign, unknown_left = spec
+    root, keys = trie
+    off = 0 if unknown_left else half
+    tk = t_sign * k_sign * den
+    rs = [(t_sign * ra, t_sign * rb) for ra, rb in nums[off:off + half]]
+    for known_pt, known_tot in outers:
+        base = [(xr - tk * a, yr - tk * b)
+                for (a, b), (xr, yr) in zip(known_pt, rs)]
+        stack = [(root, 0, known_tot)]
+        while stack:
+            node, j, acc = stack.pop()
+            bx, by = base[j]
+            for (su, sv), child in node.items():
+                dx = bx - su
+                dy = by - sv
+                tot = acc + dx * dx + dy * dy
+                if tot > limit:
+                    continue
+                if child.__class__ is dict:
+                    stack.append((child, j + 1, tot))
+                    continue
+                kt = keys[child]
+                for m in range(j + 1, half):
+                    su, sv = kt[m]
+                    cx, cy = base[m]
+                    dx = cx - su
+                    dy = cy - sv
+                    tot += dx * dx + dy * dy
+                    if tot > limit:
+                        break
+                else:
+                    body = tuple(
+                        (t_sign * (c + d) + k_sign * a,
+                         t_sign * (d - c) + k_sign * b)
+                        for (a, b), (c, d) in zip(known_pt, inners[child][0])
+                    )
+                    out.setdefault(body + known_pt if unknown_left
+                                   else known_pt + body, tot)
+
+
 def _scan_blocks(nums, den, half, limit, blocks):
     """Survivors of the pair scan over `blocks` as {point: tot}.
 
     Each block is (outers, inners, pairing spec): every outer known half
-    is tried against every inner transformed half.  A point found twice
-    keeps its first tot (both are the same exact distance).
+    is tried against every inner transformed half.  An inner list of at
+    least _TRIE_MIN points is put in a radix trie that the outers join
+    against (`_scan_trie`); consecutive blocks with the same inner list
+    share its trie.  A shorter inner list shares too few prefixes to pay
+    for a trie and is scanned flat, pair by pair (`_scan_pair`).  A point
+    found twice keeps its first tot (both are the same exact distance).
     """
     out = {}
-    for outers, inners, (t_sign, k_sign, unknown_left) in blocks:
-        for known_pt, known_tot in outers:
-            for trans_pt, _ in inners:
-                got = _scan_pair(known_pt, known_tot, trans_pt, nums, den,
-                                 half, limit, t_sign, k_sign, unknown_left)
-                if got is not None:
-                    pt, tot = got
-                    if _VALIDATE and not member_pairs(pt):
-                        raise InvariantError(
-                            f"assembled non-member candidate {pt}"
-                        )
-                    out.setdefault(pt, tot)
+    trie_of = None
+    for outers, inners, spec in blocks:
+        if len(inners) < _TRIE_MIN:
+            t_sign, k_sign, unknown_left = spec
+            for known_pt, known_tot in outers:
+                for trans_pt, _ in inners:
+                    got = _scan_pair(known_pt, known_tot, trans_pt, nums,
+                                     den, half, limit, t_sign, k_sign,
+                                     unknown_left)
+                    if got is not None:
+                        pt, tot = got
+                        out.setdefault(pt, tot)
+            continue
+        if inners is not trie_of:
+            trie_of, trie = inners, _inner_trie(inners, den)
+        _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec)
+    if _VALIDATE:
+        for pt in out:
+            if not member_pairs(pt):
+                raise InvariantError(f"assembled non-member candidate {pt}")
     return out
 
 
@@ -266,12 +386,14 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
         return []
     half = size >> 1
     limit = (p * den * den * size) // q
+    # the pairings that share an inner list are adjacent, so the scan
+    # builds one trie per inner list
     blocks = [
         (outers, inners, _PAIRING_SPECS[pairing])
         for pairing, outers, inners in (
             ("0+", sub0, subp),
-            ("0-", sub0, subm),
             ("1+", sub1, subp),
+            ("0-", sub0, subm),
             ("1-", sub1, subm),
         )
         if outers and inners
@@ -279,7 +401,8 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
     if pool is None or npairs < _PAR_COMBINE_MIN:
         out = _scan_blocks(nums, den, half, limit, blocks)
     else:
-        # slice each pairing's outers so every worker gets about two tasks
+        # slice each pairing's outers so every worker gets about two tasks;
+        # each task builds its own trie of its inner list
         chunks = []
         for outers, inners, spec in blocks:
             step = -(-len(outers) // (2 * workers))

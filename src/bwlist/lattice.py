@@ -1,4 +1,4 @@
-"""Barnes-Wall lattices over Z[i]: construction, membership, symmetries.
+"""Barnes-Wall lattices over Z[i]: construction and membership.
 
 The level-n lattice lives in dimension N = 2**n and is defined recursively:
 level 0 is all of Z[i], and a level-n vector is [u, u + phi*v] with u, v
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from bwlist.arith import (
@@ -139,12 +138,6 @@ class BWPoint:
         """Canonical sort key: lexicographic by (re, im) pairs."""
         return tuple((z.re, z.im) for z in self.coords)
 
-    def norm_sq(self) -> int:
-        return sum(z.norm_sq() for z in self.coords)
-
-    def to_cvector(self) -> CVector:
-        return CVector(self.coords)
-
     def __str__(self) -> str:
         return format_vector(self.coords)
 
@@ -171,27 +164,6 @@ def generator_matrix(n: int) -> tuple[tuple[GaussianInt, ...], ...]:
         bottom = [pad + tuple(z.mul_phi() for z in row) for row in rows]
         rows = top + bottom
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# Symmetries
-# ---------------------------------------------------------------------------
-
-
-def swap_halves(x: CVector) -> CVector:
-    """[x0, x1] -> [x1, x0]; preserves membership at every level >= 1."""
-    x0, x1 = x.halves()
-    return CVector.join(x1, x0)
-
-
-def automorphism_t(x: CVector) -> CVector:
-    """The distance-preserving map [x0, x1] -> (phi/2) [x0 + x1, x0 - x1].
-
-    Maps the lattice onto itself; applying it twice multiplies by i.
-    """
-    half = Fraction(1, 2)
-    x0, x1 = x.halves()
-    return CVector.join((x0 + x1).mul_phi() * half, (x0 - x1).mul_phi() * half)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,14 @@ import random
 import time
 from fractions import Fraction
 
-from bwlist.arith import CVector, QComplex, half_relation, rsd
+from bwlist.arith import CVector, QComplex, rsd
 from bwlist.bounds import lower_eps, random_word, validate_bounds
 from bwlist.decode import CostCounter, list_decode, list_decode_parallel
 from bwlist.lattice import (
-    automorphism_t,
     is_member,
     multilinear_evaluate,
     multilinear_interpolate,
     random_member,
-    swap_halves,
 )
 from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import (
@@ -30,6 +28,7 @@ from bwlist.rmcode import (
     gaussian_binomial,
     lower_bound_instance,
 )
+from symmetry import automorphism_t, half_relation, swap_halves, to_cvector
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
 
@@ -96,7 +95,7 @@ def test_04_crafted_words_have_many_equidistant_members() -> None:
             if not is_member(e.point):
                 failures.append(f"n={n}: non-member witness")
                 break
-            if (inst.received - e.point.to_cvector()).norm_sq() != expect_dist:
+            if (inst.received - to_cvector(e.point)).norm_sq() != expect_dist:
                 failures.append(f"n={n}: wrong distance")
                 break
         if n <= 3:
@@ -135,7 +134,7 @@ def test_06_structural_invariants_hold_on_random_members() -> None:
         no_form = 0
         for trial in range(1000):
             w = random_member(rng, n)
-            wv = w.to_cvector()
+            wv = to_cvector(w)
 
             coeffs = multilinear_interpolate(w)
             if multilinear_evaluate(coeffs) != w:

@@ -12,7 +12,6 @@ from bwlist.arith import (
     NotDivisible,
     QComplex,
     format_vector,
-    half_relation,
     parse_qcomplex,
     parse_rational,
     parse_vector,
@@ -20,6 +19,7 @@ from bwlist.arith import (
     rsd,
     vector_to_scaled,
 )
+from symmetry import half_relation
 
 
 def test_gaussian_int_ring_ops() -> None:

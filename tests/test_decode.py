@@ -4,21 +4,30 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bwlist.arith import PHI, CVector, GaussianInt, QComplex, rsd
+from bwlist import decode
+from bwlist.arith import PHI, CVector, GaussianInt, QComplex, format_vector, rsd
+from bwlist.bounds import random_word
 from bwlist.decode import (
+    _TRIE_MIN,
     PAIRINGS,
     CostCounter,
+    InvariantError,
     MaxListExceeded,
     combine_candidates,
     list_decode,
     list_decode_parallel,
 )
-from bwlist.lattice import automorphism_t, is_member, random_member
+from bwlist.lattice import is_member, random_member
 from bwlist.rmcode import lower_bound_instance
+from symmetry import automorphism_t, to_cvector
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
 
@@ -57,7 +66,7 @@ def test_combine_candidates_rebuild_members() -> None:
     rng = random.Random(12)
     for n in range(1, 5):
         for _ in range(25):
-            w = random_member(rng, n).to_cvector()
+            w = to_cvector(random_member(rng, n))
             w0, w1 = w.halves()
             # automorphism_t(w) = [(phi/2)(w0 + w1), (phi/2)(w0 - w1)]
             t_plus, t_minus = automorphism_t(w).halves()
@@ -103,7 +112,7 @@ def test_decoding_a_member_at_radius_zero() -> None:
     rng = random.Random(2)
     for n in range(5):
         member = random_member(rng, n)
-        result = list_decode(member.to_cvector(), 0)
+        result = list_decode(to_cvector(member), 0)
         assert [e.point for e in result] == [member]
         assert result.entries[0].distance == 0
 
@@ -121,7 +130,7 @@ def test_reported_distances_are_exact() -> None:
             result = list_decode(r, Fraction(3, 4))
             for e in result:
                 assert is_member(e.point)
-                assert e.distance == rsd(r, e.point.to_cvector())
+                assert e.distance == rsd(r, to_cvector(e.point))
                 assert e.distance <= Fraction(3, 4)
 
 
@@ -153,6 +162,17 @@ def test_negative_max_list_rejected_before_work() -> None:
     assert counter.ops == 0
     with pytest.raises(ValueError, match="max_list must be >= 0"):
         list_decode_parallel(r, Fraction(1, 100), 2, max_list=-1)
+
+
+def test_base_case_cap_fires_before_the_grid_is_built() -> None:
+    # at eta = 10**5 the origin's grid holds 314 197 members, at 10**6
+    # over 3 M; the cap must stop the grid at its (max_list + 1)-th entry
+    for eta in (10**5, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(MaxListExceeded) as exc:
+            list_decode(CVector([0]), eta, max_list=10)
+        assert exc.value.size == 11
+        assert time.perf_counter() - start < 2
 
 
 def test_max_list_cap_allows_exact_fit() -> None:
@@ -219,3 +239,93 @@ def test_validation_mode_reproduces_output() -> None:
         runs[flag] = proc.stdout
     assert runs["0"] == runs["1"]
     assert len(runs["1"].strip().splitlines()) == 32
+
+
+# Radii in [1/2, 1], capped per level so that the Fraction-based brute
+# force below stays at a few thousand candidate pairs per example.
+_RADIUS_CAP = {2: Fraction(1), 3: Fraction(3, 4), 4: Fraction(5, 8)}
+
+_parts = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 4)))
+_coords = st.builds(QComplex, _parts, _parts)
+
+
+@st.composite
+def _words_and_radii(draw):
+    n = draw(st.integers(2, 4))
+    word = CVector(draw(st.lists(_coords, min_size=1 << n, max_size=1 << n)))
+    eta = draw(st.fractions(Fraction(1, 2), _RADIUS_CAP[n],
+                            max_denominator=8))
+    return word, eta
+
+
+def _brute_force_combine(r: CVector, eta: Fraction):
+    """The level-n list rebuilt from its four child lists by brute force.
+
+    Each child word is decoded with `list_decode`; every pairing of a known
+    half with a transformed half is assembled by `combine_candidates` and
+    kept when its exact relative squared distance is within eta (computed
+    over r's common denominator; each kept one is checked against `rsd`).
+    Returns the canonical lines and the child lists' sizes.
+    """
+    r0, r1 = r.halves()
+    r_plus, r_minus = automorphism_t(r).halves()
+    children = {
+        key: [e.point.coords for e in list_decode(word, eta)]
+        for key, word in (("0", r0), ("1", r1), ("+", r_plus),
+                          ("-", r_minus))
+    }
+    den = lcm(*(x.denominator for z in r for x in (z.re, z.im)))
+    scaled = [(int(z.re * den), int(z.im * den)) for z in r]
+    limit = eta * den * den * len(r)
+    kept = {}
+    for pairing in PAIRINGS:
+        for known in children[pairing[0]]:
+            for trans in children[pairing[1]]:
+                pt = combine_candidates(pairing, known, trans).to_gaussian()
+                tot = sum((x - den * z.re) ** 2 + (y - den * z.im) ** 2
+                          for (x, y), z in zip(scaled, pt))
+                if tot <= limit:
+                    dist = rsd(r, CVector(pt))
+                    assert dist == Fraction(tot, den * den * len(r))
+                    kept[tuple((z.re, z.im) for z in pt)] = (pt, dist)
+    lines = [f"{format_vector(pt)}\t{dist}"
+             for _, (pt, dist) in sorted(kept.items())]
+    return lines, {key: len(pts) for key, pts in children.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(_words_and_radii())
+@example((CVector([HALF_PHI] * 4), Fraction(1)))
+@example((random_word(random.Random(2), 2), Fraction(1)))
+def test_pair_scan_matches_brute_force_combine(case) -> None:
+    r, eta = case
+    lines, _ = _brute_force_combine(r, eta)
+    assert list_decode(r, eta).to_lines() == lines
+
+
+def test_trie_join_matches_brute_force_on_the_crafted_word() -> None:
+    # lower_bound_instance(4, 1/4) at 3/4: the transformed child lists hold
+    # 282 members each, far past the trie cutoff, and the witnesses sit
+    # exactly on the radius
+    r = lower_bound_instance(4, Fraction(1, 4)).received
+    eta = Fraction(3, 4)
+    lines, sizes = _brute_force_combine(r, eta)
+    assert min(sizes["+"], sizes["-"]) >= _TRIE_MIN
+    assert list_decode(r, eta).to_lines() == lines
+
+
+def test_validation_rechecks_survivors_on_both_scan_paths(monkeypatch) -> None:
+    # a stand-in membership test that rejects every full-length point must
+    # trip the top combine, whether it scans flat (the deep hole, whose
+    # transformed child lists hold one member) or through the trie
+    monkeypatch.setattr(decode, "_VALIDATE", True)
+    for r, eta, via_trie in ((CVector([HALF_PHI] * 4), Fraction(1, 2), False),
+                             (random_word(random.Random(2), 2), Fraction(1),
+                              True)):
+        _, sizes = _brute_force_combine(r, eta)
+        assert (min(sizes["+"], sizes["-"]) >= _TRIE_MIN) == via_trie
+        size = len(r)
+        monkeypatch.setattr(decode, "member_pairs",
+                            lambda pt, size=size: len(pt) < size)
+        with pytest.raises(InvariantError):
+            list_decode(r, eta)

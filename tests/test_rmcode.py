@@ -21,6 +21,7 @@ from bwlist.rmcode import (
     rm_min_distance,
     subspace_char_vector,
 )
+from symmetry import to_cvector
 
 
 def test_anf_is_self_inverse() -> None:
@@ -163,9 +164,9 @@ def test_lower_bound_instance_small() -> None:
     r = inst.received
     for e in inst.witnesses:
         assert is_member(e.point)
-        diff = r - e.point.to_cvector()
+        diff = r - to_cvector(e.point)
         assert diff.norm_sq() == (1 << 2) - (1 << 1)
-        assert e.distance == rsd(r, e.point.to_cvector())
+        assert e.distance == rsd(r, to_cvector(e.point))
 
 
 def test_lower_bound_instance_distances() -> None:
@@ -175,7 +176,7 @@ def test_lower_bound_instance_distances() -> None:
         assert len(inst.witnesses) == gaussian_binomial(n, n - k)
         assert inst.received[0] == phi_pow(k)
         for e in inst.witnesses:
-            assert (inst.received - e.point.to_cvector()).norm_sq() == (1 << n) - (1 << k)
+            assert (inst.received - to_cvector(e.point)).norm_sq() == (1 << n) - (1 << k)
             assert e.distance <= 1 - eps
 
 
