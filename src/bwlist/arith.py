@@ -3,8 +3,8 @@
 Everything here is exact: real and imaginary parts are ints or
 `fractions.Fraction`, never floats.  The distinguished element
 phi = 1 + i (with |phi|^2 = 2) drives all the halving/doubling structure
-in the rest of the package, so multiplication and exact division by phi
-get dedicated methods.
+in the rest of the package, so Gaussian integers get dedicated methods
+for multiplication and exact division by phi.
 
 Vectors (`CVector`) always have power-of-two length 2**n; n is called the
 level.  The squared-distance measure used throughout is the *relative*
@@ -149,13 +149,6 @@ class QComplex:
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def mul_phi(self) -> QComplex:
-        return QComplex(self.re - self.im, self.re + self.im)
-
-    def div_phi(self) -> QComplex:
-        """Division by phi; always exact over the rationals."""
-        return QComplex((self.re + self.im) / 2, (self.im - self.re) / 2)
-
     def to_gaussian(self) -> GaussianInt:
         if self.re.denominator != 1 or self.im.denominator != 1:
             raise NotDivisible(f"{self} has non-integer parts")
@@ -200,12 +193,6 @@ class CVector:
         self.coords = tuple(_as_qcomplex(c) for c in coords)
         level_of(len(self.coords))
 
-    @classmethod
-    def join(cls, left: CVector, right: CVector) -> CVector:
-        if len(left) != len(right):
-            raise ValueError("halves must have equal length")
-        return cls(left.coords + right.coords)
-
     @property
     def n(self) -> int:
         """Level: log2 of the length."""
@@ -249,12 +236,6 @@ class CVector:
 
     def __rmul__(self, scalar: ScalarLike) -> CVector:
         return self.__mul__(scalar)
-
-    def mul_phi(self) -> CVector:
-        return CVector(a.mul_phi() for a in self.coords)
-
-    def div_phi(self) -> CVector:
-        return CVector(a.div_phi() for a in self.coords)
 
     def halves(self) -> tuple[CVector, CVector]:
         if len(self.coords) < 2:

@@ -14,8 +14,9 @@ four pairings in `combine_candidates` implement.  Assembled candidates are
 always members; the exact distance filter then keeps those within radius.
 
 Internally everything runs on integer (re, im) pairs over one common
-denominator so that every comparison is an integer comparison; Fractions
-appear only at the public boundary.
+denominator so that every comparison is an integer comparison.  The result
+keeps those integers too: `DecodeList.to_lines` formats straight from them,
+and Fractions appear only when a caller iterates.
 
 Candidate pairs are screened by a reconstruct-and-test scan: the child
 lists carry each point's exact scaled squared distance, so a pair's total
@@ -48,8 +49,8 @@ A `max_list` cap aborts the whole decode with MaxListExceeded as soon as
 *any* list, intermediate or final, exceeds it: intermediate lists can blow
 up near eta = 1 even when the final list is small, and the cap exists to
 protect batch runs from exactly that.  The base case checks the cap as
-its grid grows, so a huge radius fails before the grid is built; a combine
-checks it once its scan is done.
+its grid grows, so a huge radius fails before the grid is built, and a
+combine's pair scan checks it as each survivor is stored.
 
 Every combine runs through one pair scan, `_scan_blocks`.  The parallel
 decoder shares the recursion rather than copying it: it splits the top d
@@ -77,7 +78,6 @@ from bwlist.arith import (
     CVector,
     GaussianInt,
     RationalLike,
-    format_vector,
     vector_to_scaled,
 )
 from bwlist.lattice import BWPoint, member_pairs
@@ -125,12 +125,18 @@ class DecodeEntry:
     distance: Fraction
 
 
-@dataclass(frozen=True)
 class DecodeList:
     """The members within a radius of a received word, each with its exact
-    relative squared distance, in canonical order."""
+    relative squared distance, in canonical order.
 
-    entries: tuple[DecodeEntry, ...]
+    Holds what the decoder produces: the scaled entries ((re, im) pairs,
+    tot), sorted, and the one scale den^2 * size.  `to_lines` formats
+    straight from those integers.  The DecodeEntry objects behind
+    `entries` and iteration are built when first read and then cached;
+    `len` builds none.
+    """
+
+    __slots__ = ("_scaled", "_scale", "_entries")
 
     @classmethod
     def from_scaled(cls, size: int, den: int, entries) -> DecodeList:
@@ -140,22 +146,40 @@ class DecodeList:
         squared distance sum_j |den * r_j - den * w_j|^2, so the relative
         squared distance is tot / (den^2 * size), size the vector length.
         """
-        den_sq_n = den * den * size
-        return cls(tuple(
-            DecodeEntry(BWPoint.unchecked(GaussianInt(x, y) for x, y in pt),
-                        Fraction(tot, den_sq_n))
-            for pt, tot in sorted(entries)
-        ))
+        self = object.__new__(cls)
+        self._scaled = sorted(entries)
+        self._scale = den * den * size
+        self._entries = None
+        return self
+
+    @property
+    def entries(self) -> tuple[DecodeEntry, ...]:
+        if self._entries is None:
+            scale = self._scale
+            self._entries = tuple(
+                DecodeEntry(BWPoint.unchecked(GaussianInt(x, y) for x, y in pt),
+                            Fraction(tot, scale))
+                for pt, tot in self._scaled
+            )
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._scaled)
 
     def __iter__(self) -> Iterator[DecodeEntry]:
         return iter(self.entries)
 
     def to_lines(self) -> list[str]:
-        """One 'vector<TAB>rsd' line per entry, in canonical order."""
-        return [f"{format_vector(e.point)}\t{e.distance}" for e in self.entries]
+        """One 'vector<TAB>rsd' line per entry, in canonical order: the text
+        of `format_vector(e.point)` and `e.distance`, formatted from the
+        scaled integers."""
+        scaled, scale = self._scaled, self._scale
+        # members share most coordinates, so each distinct one is formatted
+        # once: half the time of formatting every coordinate of a large list
+        text = {(x, y): f"{x},{y}"
+                for x, y in {c for pt, _ in scaled for c in pt}}
+        return [f"{' '.join(map(text.__getitem__, pt))}\t{Fraction(tot, scale)}"
+                for pt, tot in scaled]
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +316,11 @@ def _inner_trie(inners, den):
     return root, keys
 
 
-def _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec):
+def _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec,
+               max_list):
     """The trie join of one pairing: every outer against the inner trie;
-    survivors go into `out` as point: tot.
+    survivors go into `out` as point: tot, and MaxListExceeded is raised
+    once `out` holds more than `max_list` points.
 
     For an outer K the scaled residual at coordinate j is
     t_sign * (t_sign * (R_j - k_sign * den * K_j) - key_j), so one base
@@ -341,9 +367,11 @@ def _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec):
                     )
                     out.setdefault(body + known_pt if unknown_left
                                    else known_pt + body, tot)
+                    if max_list is not None and len(out) > max_list:
+                        raise MaxListExceeded(len(out), max_list)
 
 
-def _scan_blocks(nums, den, half, limit, blocks):
+def _scan_blocks(nums, den, half, limit, blocks, max_list):
     """Survivors of the pair scan over `blocks` as {point: tot}.
 
     Each block is (outers, inners, pairing spec): every outer known half
@@ -353,6 +381,8 @@ def _scan_blocks(nums, den, half, limit, blocks):
     share its trie.  A shorter inner list shares too few prefixes to pay
     for a trie and is scanned flat, pair by pair (`_scan_pair`).  A point
     found twice keeps its first tot (both are the same exact distance).
+    The `max_list` cap is checked as each survivor is stored, so the scan
+    stops at the (max_list + 1)-th point rather than after the last pair.
     """
     out = {}
     trie_of = None
@@ -367,10 +397,13 @@ def _scan_blocks(nums, den, half, limit, blocks):
                     if got is not None:
                         pt, tot = got
                         out.setdefault(pt, tot)
+                        if max_list is not None and len(out) > max_list:
+                            raise MaxListExceeded(len(out), max_list)
             continue
         if inners is not trie_of:
             trie_of, trie = inners, _inner_trie(inners, den)
-        _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec)
+        _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec,
+                   max_list)
     if _VALIDATE:
         for pt in out:
             if not member_pairs(pt):
@@ -399,10 +432,11 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
         if outers and inners
     ]
     if pool is None or npairs < _PAR_COMBINE_MIN:
-        out = _scan_blocks(nums, den, half, limit, blocks)
+        out = _scan_blocks(nums, den, half, limit, blocks, max_list)
     else:
         # slice each pairing's outers so every worker gets about two tasks;
-        # each task builds its own trie of its inner list
+        # each task builds its own trie of its inner list and checks the cap
+        # on its own part, since a part over the cap puts the union over it
         chunks = []
         for outers, inners, spec in blocks:
             step = -(-len(outers) // (2 * workers))
@@ -410,13 +444,14 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
                        for lo in range(0, len(outers), step)]
         out = {}
         for part in pool.map(_scan_blocks, repeat(nums), repeat(den),
-                             repeat(half), repeat(limit), chunks):
+                             repeat(half), repeat(limit), chunks,
+                             repeat(max_list)):
             for pt, tot in part.items():
                 out.setdefault(pt, tot)
+        if max_list is not None and len(out) > max_list:
+            raise MaxListExceeded(len(out), max_list)
     if counter is not None:
         counter.ops += npairs * size
-    if max_list is not None and len(out) > max_list:
-        raise MaxListExceeded(len(out), max_list)
     return list(out.items())
 
 

@@ -30,8 +30,8 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from bwlist.arith import CVector, GaussianInt, level_of, phi_pow
-from bwlist.decode import DecodeEntry, DecodeList, InvariantError
-from bwlist.lattice import BWPoint, NotAMember, PointLike
+from bwlist.decode import DecodeList, InvariantError
+from bwlist.lattice import BWPoint, NotAMember, PointLike, member_pairs
 
 Bits = tuple[int, ...]
 
@@ -258,20 +258,23 @@ def lower_bound_instance(n: int, eps: Fraction | int) -> LowerBoundInstance:
     zero = GaussianInt(0, 0)
     received = CVector([scale] + [zero] * (size - 1))
     dist_num = size - (1 << k)
-    distance = Fraction(dist_num, size)
+    if Fraction(dist_num, size) > 1 - eps:
+        raise InvariantError("witness distance exceeds the claimed radius")
 
+    # scaled entries over den = 1: each tot is the squared distance itself
+    on = (scale.re, scale.im)
+    received_pairs = (on,) + ((0, 0),) * (size - 1)
     entries = []
-    received_g = received.to_gaussian()
     for space in enumerate_subspaces(n, n - k):
-        bits = subspace_char_vector(space)
-        point = BWPoint.of([scale if b else zero for b in bits])
-        got = sum((z - r).norm_sq() for z, r in zip(point, received_g))
+        pairs = tuple(on if b else (0, 0) for b in subspace_char_vector(space))
+        if not member_pairs(pairs):
+            raise InvariantError(f"witness {pairs} is not a member")
+        got = sum((x - a) ** 2 + (y - b) ** 2
+                  for (x, y), (a, b) in zip(pairs, received_pairs))
         if got != dist_num:
             raise InvariantError(
                 f"witness at squared distance {got}, expected {dist_num}"
             )
-        entries.append(DecodeEntry(point, distance))
-    if distance > 1 - eps:
-        raise InvariantError("witness distance exceeds the claimed radius")
-    entries.sort(key=lambda e: e.point.key())
-    return LowerBoundInstance(k, received, DecodeList(tuple(entries)))
+        entries.append((pairs, dist_num))
+    return LowerBoundInstance(k, received,
+                              DecodeList.from_scaled(size, 1, entries))

@@ -4,13 +4,15 @@ The decoder's recursion rests on these facts, and the tests state them
 through the helpers below: the half swap and the transform T map the
 lattice onto itself, T preserves distances and squares to i, and the
 relative squared distance splits across the two halves of the recursion.
-The library itself never calls them, so they live with the tests.
+Multiplication and division by phi over the rationals, and joining two
+halves, serve only these statements.  The library itself never calls
+any of them, so they live with the tests.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from bwlist.arith import CVector, rsd
+from bwlist.arith import CVector, QComplex, rsd
 from bwlist.lattice import BWPoint
 
 
@@ -24,10 +26,32 @@ def norm_sq(point: BWPoint) -> int:
     return sum(z.norm_sq() for z in point.coords)
 
 
+def join(left: CVector, right: CVector) -> CVector:
+    """[left, right] as one vector; the halves must have equal length."""
+    if len(left) != len(right):
+        raise ValueError("halves must have equal length")
+    return CVector(left.coords + right.coords)
+
+
+def mul_phi(x: QComplex | CVector) -> QComplex | CVector:
+    """x * phi, coordinatewise for a vector."""
+    if isinstance(x, CVector):
+        return CVector(mul_phi(z) for z in x)
+    return QComplex(x.re - x.im, x.re + x.im)
+
+
+def div_phi(x: QComplex | CVector) -> QComplex | CVector:
+    """x / phi, coordinatewise for a vector; always exact over the
+    rationals."""
+    if isinstance(x, CVector):
+        return CVector(div_phi(z) for z in x)
+    return QComplex((x.re + x.im) / 2, (x.im - x.re) / 2)
+
+
 def swap_halves(x: CVector) -> CVector:
     """[x0, x1] -> [x1, x0]; preserves membership at every level >= 1."""
     x0, x1 = x.halves()
-    return CVector.join(x1, x0)
+    return join(x1, x0)
 
 
 def automorphism_t(x: CVector) -> CVector:
@@ -37,7 +61,7 @@ def automorphism_t(x: CVector) -> CVector:
     """
     half = Fraction(1, 2)
     x0, x1 = x.halves()
-    return CVector.join((x0 + x1).mul_phi() * half, (x0 - x1).mul_phi() * half)
+    return join(mul_phi(x0 + x1) * half, mul_phi(x0 - x1) * half)
 
 
 def half_relation(r: CVector, w: CVector) -> tuple[Fraction, Fraction, Fraction]:
@@ -54,8 +78,8 @@ def half_relation(r: CVector, w: CVector) -> tuple[Fraction, Fraction, Fraction]
     """
     r0, r1 = r.halves()
     w0, w1 = w.halves()
-    v = (w1 - w0).div_phi()
+    v = div_phi(w1 - w0)
     eta = rsd(r, w)
     eta0 = rsd(r0, w0)
-    eta1 = rsd((r1 - w0).div_phi(), v)
+    eta1 = rsd(div_phi(r1 - w0), v)
     return eta, eta0, eta1

@@ -25,7 +25,8 @@ from bwlist.decode import (
     list_decode,
     list_decode_parallel,
 )
-from bwlist.lattice import is_member, random_member
+from bwlist.lattice import BWPoint, is_member, random_member
+from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance
 from symmetry import automorphism_t, to_cvector
 
@@ -181,6 +182,32 @@ def test_max_list_cap_allows_exact_fit() -> None:
     assert len(result) == 8
 
 
+def test_combine_cap_fires_during_the_scan() -> None:
+    # every child list fits under the cap and only the top combine exceeds
+    # it: the level-1 deep hole (children of 4, 4, 1 and 1 members, 8 on
+    # top) scans flat, and the level-4 crafted word (children of at most
+    # 282, 1242 on top) scans through the trie.  The scan must stop at the
+    # (max_list + 1)-th survivor rather than finish the node first.
+    crafted = lower_bound_instance(4, Fraction(1, 4)).received
+    for r, eta, cap in ((CVector([HALF_PHI] * 2), Fraction(1, 2), 5),
+                        (crafted, Fraction(3, 4), 300)):
+        with pytest.raises(MaxListExceeded) as exc:
+            list_decode(r, eta, max_list=cap)
+        assert (exc.value.size, exc.value.limit) == (cap + 1, cap)
+
+
+def test_combine_cap_fires_on_the_pool_path() -> None:
+    # lower_bound_instance(5, 1/4) at 3/4: the level-4 lists (at most 1242)
+    # fit under the cap, and the top combine is sliced across the pool;
+    # whether one slice or only the union of the slices exceeds the cap,
+    # the decode must raise
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    with pytest.raises(MaxListExceeded) as exc:
+        list_decode_parallel(r, Fraction(3, 4), 2, max_list=2000)
+    assert exc.value.limit == 2000
+    assert exc.value.size > 2000
+
+
 def test_cost_counter_is_deterministic_and_positive() -> None:
     r = CVector([HALF_PHI] * 4)
     a, b = CostCounter(), CostCounter()
@@ -329,3 +356,66 @@ def test_validation_rechecks_survivors_on_both_scan_paths(monkeypatch) -> None:
                             lambda pt, size=size: len(pt) < size)
         with pytest.raises(InvariantError):
             list_decode(r, eta)
+
+
+def _object_lines(result) -> list[str]:
+    """The text of a result built from its DecodeEntry objects."""
+    return [f"{format_vector(e.point)}\t{e.distance}" for e in result]
+
+
+# coordinates with large and coprime denominators, so the common
+# denominator is large and every distance needs Fraction's reduction
+_rational_coords = st.builds(
+    QComplex,
+    st.fractions(-6, 6, max_denominator=10**6),
+    st.fractions(-6, 6, max_denominator=10**6),
+)
+
+
+@st.composite
+def _rational_words(draw):
+    n = draw(st.integers(0, 3))
+    word = CVector(draw(st.lists(_rational_coords, min_size=1 << n,
+                                 max_size=1 << n)))
+    eta = draw(st.fractions(Fraction(1, 4), 1, max_denominator=97))
+    return word, eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_words())
+@example((CVector([HALF_PHI] * 8), Fraction(1, 2)))
+@example((CVector([QComplex(Fraction(1, 3), Fraction(2, 7)),
+                   QComplex(Fraction(-5, 11), Fraction(999_983, 10**6))]),
+          Fraction(3, 4)))
+def test_lean_text_equals_object_text(case) -> None:
+    r, eta = case
+    for result in (list_decode(r, eta), oracle_list(r, eta)):
+        lines = result.to_lines()
+        assert lines == _object_lines(result)
+        assert len(result) == len(lines)
+
+
+def test_lean_text_equals_object_text_for_fixed_lists() -> None:
+    _, shell = shortest_vectors(2)
+    witnesses = lower_bound_instance(4, Fraction(1, 4)).witnesses
+    for result in (shell, witnesses):
+        lines = result.to_lines()
+        assert lines and lines == _object_lines(result)
+
+
+def test_text_path_builds_no_objects(monkeypatch) -> None:
+    # formatting and len() read only the scaled integers; only iteration
+    # builds points and Gaussian integers
+    def refuse(*args):
+        raise AssertionError("object built on the text path")
+
+    monkeypatch.setattr(BWPoint, "unchecked", refuse)
+    monkeypatch.setattr(decode, "GaussianInt", refuse)
+    result = list_decode(CVector([HALF_PHI] * 8), Fraction(1, 2))
+    assert len(result) == 32
+    lines = result.to_lines()
+    assert len(lines) == 32
+    assert all(line.endswith("\t1/2") for line in lines)
+    assert len(lower_bound_instance(4, Fraction(1, 4)).witnesses.to_lines()) == 35
+    with pytest.raises(AssertionError, match="text path"):
+        list(result)
