@@ -56,8 +56,8 @@ Every combine runs through one pair scan, `_scan_blocks`.  The parallel
 decoder shares the recursion rather than copying it: it splits the top d
 levels breadth first, decodes the 4**d deepest words on a process pool,
 and folds back up with the same `_combine_core`, which hands a large
-node's pair scan to the pool in slices of its outer lists; each worker
-builds the trie of its slice's inner list itself.
+node's pair scan to the pool in stride slices, task k of m taking every
+m-th outer of every pairing, so a task builds each inner trie just once.
 
 Set the BWLIST_VALIDATE environment variable to re-check every candidate
 that survives the distance scan against the lattice (slow; meant for the
@@ -86,7 +86,7 @@ PAIRINGS = ("0+", "0-", "1+", "1-")
 
 _VALIDATE = os.environ.get("BWLIST_VALIDATE", "") not in ("", "0")
 
-# chunk the candidate-pair space across workers above this many pairs
+# hand a node's pair scan to the pool above this many candidate pairs
 _PAR_COMBINE_MIN = 50_000
 
 # join outers against a radix trie of any inner list at least this long;
@@ -412,7 +412,7 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
 
 
 def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                  counter, max_list, pool=None, workers=1):
+                  counter, max_list, pool=None, pool_size=1):
     size = 1 << n
     npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
     if npairs == 0:
@@ -434,20 +434,19 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
     if pool is None or npairs < _PAR_COMBINE_MIN:
         out = _scan_blocks(nums, den, half, limit, blocks, max_list)
     else:
-        # slice each pairing's outers so every worker gets about two tasks;
-        # each task builds its own trie of its inner list and checks the cap
-        # on its own part, since a part over the cap puts the union over it
-        chunks = []
-        for outers, inners, spec in blocks:
-            step = -(-len(outers) // (2 * workers))
-            chunks += [[(outers[lo:lo + step], inners, spec)]
-                       for lo in range(0, len(outers), step)]
+        # two tasks per process: task k scans outers[k::m] of every pairing
+        # and builds each inner trie once; it checks the cap on its own part,
+        # as a part over the cap puts the union over it.  A point that two
+        # tasks find has the same exact tot in both.
+        m = 2 * pool_size
+        tasks = [[(outers[k::m], inners, spec)
+                  for outers, inners, spec in blocks if len(outers) > k]
+                 for k in range(m)]
         out = {}
         for part in pool.map(_scan_blocks, repeat(nums), repeat(den),
-                             repeat(half), repeat(limit), chunks,
+                             repeat(half), repeat(limit), filter(None, tasks),
                              repeat(max_list)):
-            for pt, tot in part.items():
-                out.setdefault(pt, tot)
+            out.update(part)
         if max_list is not None and len(out) > max_list:
             raise MaxListExceeded(len(out), max_list)
     if counter is not None:
@@ -496,26 +495,26 @@ def list_decode_parallel(
 
     The top d levels of the recursion are split breadth first (d is the
     smallest depth with 4**d >= `workers`, capped so the deepest words stay
-    at level >= 3).  The 4**d deepest words are decoded on the pool, then
-    each level above is combined in turn with the sequential combine, which
-    slices a node's pair scan across the pool when it has enough candidate
-    pairs to pay for the shipping.  With one worker, or a word too small to
-    split, the decode runs in-process.
+    at level >= 3); a pool of min(`workers`, CPU count) processes decodes
+    the 4**d deepest words, and the sequential combine folds each level
+    above, sending a node's pair scan to the pool in stride slices when it
+    has enough candidate pairs to pay for the shipping.  With one worker,
+    or a word too small to split, this is `list_decode`.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    eta = _check_args(eta, max_list)
-    nums, den = vector_to_scaled(r)
     n = r.n
-    p, q = eta.numerator, eta.denominator
-
     depth = 0
     while (1 << (2 * depth)) < workers:
         depth += 1
     depth = min(depth, n - 3)
-    if workers == 1 or depth < 1:
-        pts = _decode_core(nums, den, n, p, q, None, max_list)
-        return DecodeList.from_scaled(len(r), den, pts)
+    if depth < 1:
+        return list_decode(r, eta, max_list=max_list)
+    eta = _check_args(eta, max_list)
+    nums, den = vector_to_scaled(r)
+    p, q = eta.numerator, eta.denominator
+    # the pool forks all its processes at once: no more than the machine has
+    pool_size = min(workers, os.cpu_count() or 1)
 
     # levels[k] holds the words at depth k; node i's children are 4i..4i+3
     levels = [[(nums, den)]]
@@ -526,7 +525,7 @@ def list_decode_parallel(
             level += [(r0, wden), (r1, wden), (rp, den2), (rm, den2)]
         levels.append(level)
     leaf_words, leaf_dens = zip(*levels[depth])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         lists = list(pool.map(_decode_core, leaf_words, leaf_dens,
                               repeat(n - depth), repeat(p), repeat(q),
                               repeat(None), repeat(max_list)))
@@ -534,7 +533,7 @@ def list_decode_parallel(
             lists = [
                 _combine_core(words, wden, n - k, p, q,
                               *lists[4 * i:4 * i + 4], None, max_list,
-                              pool, workers)
+                              pool, pool_size)
                 for i, (words, wden) in enumerate(levels[k])
             ]
     return DecodeList.from_scaled(len(r), den, lists[0])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import starmap
 from math import lcm
 
 import pytest
@@ -198,14 +199,18 @@ def test_combine_cap_fires_during_the_scan() -> None:
 
 def test_combine_cap_fires_on_the_pool_path() -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-4 lists (at most 1242)
-    # fit under the cap, and the top combine is sliced across the pool;
-    # whether one slice or only the union of the slices exceeds the cap,
-    # the decode must raise
+    # fit under both caps, and the top combine's 5210 members are found in
+    # stride slices across the pool, whose parts hold at most 2266 on a
+    # pool of two (3226 on one).  Cap 2000 fires inside a slice; under cap
+    # 5000 every part fits, and only the check on their union can fire.
     r = lower_bound_instance(5, Fraction(1, 4)).received
     with pytest.raises(MaxListExceeded) as exc:
         list_decode_parallel(r, Fraction(3, 4), 2, max_list=2000)
     assert exc.value.limit == 2000
     assert exc.value.size > 2000
+    with pytest.raises(MaxListExceeded) as exc:
+        list_decode_parallel(r, Fraction(3, 4), 2, max_list=5000)
+    assert (exc.value.size, exc.value.limit) == (5210, 5000)
 
 
 def test_cost_counter_is_deterministic_and_positive() -> None:
@@ -232,15 +237,67 @@ def test_parallel_matches_sequential_small() -> None:
 
 def test_parallel_combine_and_depth_two_match_sequential() -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine examines
-    # 161 460 pairs (over _PAR_COMBINE_MIN, so it is sliced across the
-    # pool) and keeps 5210 members, most of them found by two pairings;
-    # 8 workers split two levels deep
+    # 161 460 pairs (over _PAR_COMBINE_MIN, so each pool task scans a stride
+    # slice of the outers of all four pairings) and keeps 5210 members,
+    # most of them found by two pairings; 8 workers split two levels deep
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
     seq = list_decode(r, eta).to_lines()
     assert len(seq) == 5210
     for workers in (2, 3, 8):
         assert list_decode_parallel(r, eta, workers).to_lines() == seq, workers
+
+
+def test_every_fold_node_can_go_through_the_pool(monkeypatch) -> None:
+    # with no pair threshold the root's scan always runs in pool tasks: the
+    # deep holes' inner lists hold one point, so a task takes the flat scan,
+    # and the crafted word's one-point outer list leaves slices empty
+    monkeypatch.setattr(decode, "_PAR_COMBINE_MIN", 0)
+    rng = random.Random(8)
+    cases = [(CVector([HALF_PHI] * 16), Fraction(1, 2)),
+             (CVector([HALF_PHI] * 32), Fraction(1, 2)),
+             (lower_bound_instance(4, Fraction(1, 4)).received, Fraction(3, 4)),
+             (random_word(rng, 5), Fraction(3, 4)),
+             (random_word(rng, 5), Fraction(3, 4))]
+    for r, eta in cases:
+        assert (list_decode_parallel(r, eta, 2).to_lines()
+                == list_decode(r, eta).to_lines())
+
+
+def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
+    # a stand-in pool runs every task in-process, so no process starts; it
+    # records the pool size and the tasks of each sliced pair scan
+    sizes, scans = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            calls = list(zip(*iterables))
+            if fn is decode._scan_blocks:
+                scans.append([blocks for _, _, _, _, blocks, _ in calls])
+            return starmap(fn, calls)
+
+    monkeypatch.setattr(decode, "ProcessPoolExecutor", InlinePool)
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    eta = Fraction(3, 4)
+    assert (list_decode_parallel(r, eta, 10**6).to_lines()
+            == list_decode(r, eta).to_lines())
+    assert len(sizes) == 1 and sizes[0] <= (os.cpu_count() or 1)
+    # the level-5 root is sliced: at most two tasks per process, and every
+    # task gets only non-empty outer slices
+    assert scans
+    for tasks in scans:
+        assert 0 < len(tasks) <= 2 * sizes[0]
+        assert all(task and all(outers for outers, _, _ in task)
+                   for task in tasks)
 
 
 def test_parallel_rejects_bad_worker_count() -> None:
