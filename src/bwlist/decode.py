@@ -52,12 +52,15 @@ protect batch runs from exactly that.  The base case checks the cap as
 its grid grows, so a huge radius fails before the grid is built, and a
 combine's pair scan checks it as each survivor is stored.
 
-Every combine runs through one pair scan, `_scan_blocks`.  The parallel
-decoder shares the recursion rather than copying it: it splits the top d
-levels breadth first, decodes the 4**d deepest words on a process pool,
-and folds back up with the same `_combine_core`, which hands a large
-node's pair scan to the pool in stride slices, task k of m taking every
-m-th outer of every pairing, so a task builds each inner trie just once.
+Every combine runs through one pair scan, `_scan_blocks`, which holds
+both the flat loop and the trie walk.  The parallel decoder shares the
+recursion rather than copying it: it clamps the worker count to the CPU
+count, splits the top d levels breadth first until there are at least
+that many words, decodes the 4**d deepest words on a pool of that many
+processes, and folds back up with the same `_combine_core`, which hands
+a large node's pair scan to the pool in stride slices, task k of m taking
+every m-th outer of every pairing, so a task builds each inner trie just
+once.
 
 Set the BWLIST_VALIDATE environment variable to re-check every candidate
 that survives the distance scan against the lattice (slow; meant for the
@@ -247,35 +250,6 @@ _PAIRING_SPECS = {
 }
 
 
-def _scan_pair(known_pt, known_tot, trans_pt, nums, den, half, limit,
-               t_sign, k_sign, unknown_left):
-    """Fused reconstruct-and-test for one candidate pair.
-
-    Accumulates the candidate's exact scaled distance starting from the
-    known half's stored total; breaks out as soon as it exceeds `limit`.
-    Returns (full point, tot) or None.
-    """
-    tot = known_tot
-    off = 0 if unknown_left else half
-    buf = []
-    for j in range(half):
-        a, b = known_pt[j]
-        c, d = trans_pt[j]
-        wx = t_sign * (c + d) + k_sign * a
-        wy = t_sign * (d - c) + k_sign * b
-        ra, rb = nums[off + j]
-        dx = ra - wx * den
-        dy = rb - wy * den
-        tot += dx * dx + dy * dy
-        if tot > limit:
-            return None
-        buf.append((wx, wy))
-    body = tuple(buf)
-    if unknown_left:
-        return body + known_pt, tot
-    return known_pt + body, tot
-
-
 def _inner_trie(inners, den):
     """Radix trie of the inner list, keyed coordinate by coordinate.
 
@@ -316,94 +290,100 @@ def _inner_trie(inners, den):
     return root, keys
 
 
-def _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec,
-               max_list):
-    """The trie join of one pairing: every outer against the inner trie;
-    survivors go into `out` as point: tot, and MaxListExceeded is raised
-    once `out` holds more than `max_list` points.
+def _scan_blocks(nums, den, half, limit, blocks, max_list):
+    """Survivors of the pair scan over `blocks` as {point: tot}.
 
-    For an outer K the scaled residual at coordinate j is
+    Each block is (outers, inners, pairing spec): every outer known half K
+    is tried against every inner transformed half T, the unknown half being
+    w = t_sign * (1-i) * T + k_sign * K.  A pair's exact scaled distance
+    accumulates coordinate by coordinate from K's stored total, the pair is
+    dropped as soon as it exceeds `limit`, and only survivors are
+    reconstructed.
+
+    An inner list shorter than _TRIE_MIN shares too few prefixes to pay for
+    a trie and is scanned flat, pair by pair.  A longer one is put in a
+    radix trie (`_inner_trie`) that the outers join against; consecutive
+    blocks with the same inner list share its trie.  For an outer K the
+    scaled residual at coordinate j is
     t_sign * (t_sign * (R_j - k_sign * den * K_j) - key_j), so one base
     vector per outer turns every trie edge into a subtraction and a square.
     The walk is depth first on an explicit stack and drops a subtree once
     its partial total passes `limit`; a leaf scans the rest of its point
-    flat.  Only survivors are reconstructed.
-    """
-    t_sign, k_sign, unknown_left = spec
-    root, keys = trie
-    off = 0 if unknown_left else half
-    tk = t_sign * k_sign * den
-    rs = [(t_sign * ra, t_sign * rb) for ra, rb in nums[off:off + half]]
-    for known_pt, known_tot in outers:
-        base = [(xr - tk * a, yr - tk * b)
-                for (a, b), (xr, yr) in zip(known_pt, rs)]
-        stack = [(root, 0, known_tot)]
-        while stack:
-            node, j, acc = stack.pop()
-            bx, by = base[j]
-            for (su, sv), child in node.items():
-                dx = bx - su
-                dy = by - sv
-                tot = acc + dx * dx + dy * dy
-                if tot > limit:
-                    continue
-                if child.__class__ is dict:
-                    stack.append((child, j + 1, tot))
-                    continue
-                kt = keys[child]
-                for m in range(j + 1, half):
-                    su, sv = kt[m]
-                    cx, cy = base[m]
-                    dx = cx - su
-                    dy = cy - sv
-                    tot += dx * dx + dy * dy
-                    if tot > limit:
-                        break
-                else:
-                    body = tuple(
-                        (t_sign * (c + d) + k_sign * a,
-                         t_sign * (d - c) + k_sign * b)
-                        for (a, b), (c, d) in zip(known_pt, inners[child][0])
-                    )
-                    out.setdefault(body + known_pt if unknown_left
-                                   else known_pt + body, tot)
-                    if max_list is not None and len(out) > max_list:
-                        raise MaxListExceeded(len(out), max_list)
+    flat.
 
-
-def _scan_blocks(nums, den, half, limit, blocks, max_list):
-    """Survivors of the pair scan over `blocks` as {point: tot}.
-
-    Each block is (outers, inners, pairing spec): every outer known half
-    is tried against every inner transformed half.  An inner list of at
-    least _TRIE_MIN points is put in a radix trie that the outers join
-    against (`_scan_trie`); consecutive blocks with the same inner list
-    share its trie.  A shorter inner list shares too few prefixes to pay
-    for a trie and is scanned flat, pair by pair (`_scan_pair`).  A point
-    found twice keeps its first tot (both are the same exact distance).
-    The `max_list` cap is checked as each survivor is stored, so the scan
-    stops at the (max_list + 1)-th point rather than after the last pair.
+    A point found twice keeps its first tot (both are the same exact
+    distance).  The `max_list` cap is checked as each survivor is stored,
+    so the scan stops at the (max_list + 1)-th point rather than after the
+    last pair.
     """
     out = {}
     trie_of = None
-    for outers, inners, spec in blocks:
+    for outers, inners, (t_sign, k_sign, unknown_left) in blocks:
+        off = 0 if unknown_left else half
         if len(inners) < _TRIE_MIN:
-            t_sign, k_sign, unknown_left = spec
             for known_pt, known_tot in outers:
                 for trans_pt, _ in inners:
-                    got = _scan_pair(known_pt, known_tot, trans_pt, nums,
-                                     den, half, limit, t_sign, k_sign,
-                                     unknown_left)
-                    if got is not None:
-                        pt, tot = got
-                        out.setdefault(pt, tot)
+                    tot = known_tot
+                    buf = []
+                    for j in range(half):
+                        a, b = known_pt[j]
+                        c, d = trans_pt[j]
+                        wx = t_sign * (c + d) + k_sign * a
+                        wy = t_sign * (d - c) + k_sign * b
+                        ra, rb = nums[off + j]
+                        dx = ra - wx * den
+                        dy = rb - wy * den
+                        tot += dx * dx + dy * dy
+                        if tot > limit:
+                            break
+                        buf.append((wx, wy))
+                    else:
+                        body = tuple(buf)
+                        out.setdefault(body + known_pt if unknown_left
+                                       else known_pt + body, tot)
                         if max_list is not None and len(out) > max_list:
                             raise MaxListExceeded(len(out), max_list)
             continue
         if inners is not trie_of:
-            trie_of, trie = inners, _inner_trie(inners, den)
-        _scan_trie(out, nums, den, half, limit, outers, inners, trie, spec,
-                   max_list)
+            trie_of, (root, keys) = inners, _inner_trie(inners, den)
+        tk = t_sign * k_sign * den
+        rs = [(t_sign * ra, t_sign * rb) for ra, rb in nums[off:off + half]]
+        for known_pt, known_tot in outers:
+            base = [(xr - tk * a, yr - tk * b)
+                    for (a, b), (xr, yr) in zip(known_pt, rs)]
+            stack = [(root, 0, known_tot)]
+            while stack:
+                node, j, acc = stack.pop()
+                bx, by = base[j]
+                for (su, sv), child in node.items():
+                    dx = bx - su
+                    dy = by - sv
+                    tot = acc + dx * dx + dy * dy
+                    if tot > limit:
+                        continue
+                    if child.__class__ is dict:
+                        stack.append((child, j + 1, tot))
+                        continue
+                    kt = keys[child]
+                    for m in range(j + 1, half):
+                        su, sv = kt[m]
+                        cx, cy = base[m]
+                        dx = cx - su
+                        dy = cy - sv
+                        tot += dx * dx + dy * dy
+                        if tot > limit:
+                            break
+                    else:
+                        body = tuple(
+                            (t_sign * (c + d) + k_sign * a,
+                             t_sign * (d - c) + k_sign * b)
+                            for (a, b), (c, d) in zip(known_pt,
+                                                      inners[child][0])
+                        )
+                        out.setdefault(body + known_pt if unknown_left
+                                       else known_pt + body, tot)
+                        if max_list is not None and len(out) > max_list:
+                            raise MaxListExceeded(len(out), max_list)
     if _VALIDATE:
         for pt in out:
             if not member_pairs(pt):
@@ -493,16 +473,21 @@ def list_decode_parallel(
 ) -> DecodeList:
     """Same output as `list_decode`, byte for byte, using a process pool.
 
-    The top d levels of the recursion are split breadth first (d is the
-    smallest depth with 4**d >= `workers`, capped so the deepest words stay
-    at level >= 3); a pool of min(`workers`, CPU count) processes decodes
-    the 4**d deepest words, and the sequential combine folds each level
-    above, sending a node's pair scan to the pool in stride slices when it
-    has enough candidate pairs to pay for the shipping.  With one worker,
-    or a word too small to split, this is `list_decode`.
+    `workers` is clamped to the CPU count, and that one number w sets the
+    pool size, the split depth and the stride count.  The top d levels of
+    the recursion are split breadth first (d is the smallest depth with
+    4**d >= w, capped so the deepest words stay at level >= 3); a pool of
+    w processes decodes the 4**d deepest words, and the sequential combine
+    folds each level above, sending a node's pair scan to the pool in 2w
+    stride slices when it has enough candidate pairs to pay for the
+    shipping.  With one worker or one CPU, or a word too small to split,
+    this is `list_decode`.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    # the pool forks all its processes at once: no more than the machine
+    # has, and a split deeper than the pool only adds shipping
+    workers = min(workers, os.cpu_count() or 1)
     n = r.n
     depth = 0
     while (1 << (2 * depth)) < workers:
@@ -513,8 +498,6 @@ def list_decode_parallel(
     eta = _check_args(eta, max_list)
     nums, den = vector_to_scaled(r)
     p, q = eta.numerator, eta.denominator
-    # the pool forks all its processes at once: no more than the machine has
-    pool_size = min(workers, os.cpu_count() or 1)
 
     # levels[k] holds the words at depth k; node i's children are 4i..4i+3
     levels = [[(nums, den)]]
@@ -525,7 +508,7 @@ def list_decode_parallel(
             level += [(r0, wden), (r1, wden), (rp, den2), (rm, den2)]
         levels.append(level)
     leaf_words, leaf_dens = zip(*levels[depth])
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         lists = list(pool.map(_decode_core, leaf_words, leaf_dens,
                               repeat(n - depth), repeat(p), repeat(q),
                               repeat(None), repeat(max_list)))
@@ -533,7 +516,7 @@ def list_decode_parallel(
             lists = [
                 _combine_core(words, wden, n - k, p, q,
                               *lists[4 * i:4 * i + 4], None, max_list,
-                              pool, pool_size)
+                              pool, workers)
                 for i, (words, wden) in enumerate(levels[k])
             ]
     return DecodeList.from_scaled(len(r), den, lists[0])

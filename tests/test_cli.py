@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from bwlist.cli import EXIT_MAX_LIST, EXIT_OK, EXIT_USAGE, main
+from srcenv import SRC_ENV
 
 DEEP_HOLE_2 = "1/2,1/2 1/2,1/2"
 
@@ -157,7 +158,7 @@ def test_bounds_reports_and_exit(capsys) -> None:
 
 def test_console_script_entry_point() -> None:
     proc = subprocess.run([sys.executable, "-m", "bwlist.cli", "gen", "1"],
-                          capture_output=True, text=True)
+                          env=SRC_ENV, capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "1,0 1,0\n0,0 1,1\n"
 
@@ -166,6 +167,6 @@ def test_cli_import_leaves_mpmath_unloaded() -> None:
     # only bounds.lower_eps's non-dyadic branch needs mpmath, so startup of
     # every command skips its import
     script = "import sys, bwlist.cli; assert 'mpmath' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", script],
+    proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -29,6 +29,7 @@ from bwlist.decode import (
 from bwlist.lattice import BWPoint, is_member, random_member
 from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance
+from srcenv import SRC_ENV
 from symmetry import automorphism_t, to_cvector
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
@@ -197,12 +198,14 @@ def test_combine_cap_fires_during_the_scan() -> None:
         assert (exc.value.size, exc.value.limit) == (cap + 1, cap)
 
 
-def test_combine_cap_fires_on_the_pool_path() -> None:
+def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-4 lists (at most 1242)
     # fit under both caps, and the top combine's 5210 members are found in
-    # stride slices across the pool, whose parts hold at most 2266 on a
-    # pool of two (3226 on one).  Cap 2000 fires inside a slice; under cap
-    # 5000 every part fits, and only the check on their union can fire.
+    # stride slices across a pool of two (the CPU count reads 2, so a
+    # 1-CPU machine splits too), whose parts hold at most 2266.  Cap 2000
+    # fires inside a slice; under cap 5000 every part fits, and only the
+    # check on their union can fire.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     with pytest.raises(MaxListExceeded) as exc:
         list_decode_parallel(r, Fraction(3, 4), 2, max_list=2000)
@@ -235,11 +238,14 @@ def test_parallel_matches_sequential_small() -> None:
     assert seq.to_lines() == par.to_lines()
 
 
-def test_parallel_combine_and_depth_two_match_sequential() -> None:
+def test_parallel_combine_and_depth_two_match_sequential(monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine examines
     # 161 460 pairs (over _PAR_COMBINE_MIN, so each pool task scans a stride
     # slice of the outers of all four pairings) and keeps 5210 members,
-    # most of them found by two pairings; 8 workers split two levels deep
+    # most of them found by two pairings.  Workers are clamped to the CPU
+    # count, which reads 8 here, so 8 workers split two levels deep on a
+    # pool of 8 processes on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
     seq = list_decode(r, eta).to_lines()
@@ -251,7 +257,9 @@ def test_parallel_combine_and_depth_two_match_sequential() -> None:
 def test_every_fold_node_can_go_through_the_pool(monkeypatch) -> None:
     # with no pair threshold the root's scan always runs in pool tasks: the
     # deep holes' inner lists hold one point, so a task takes the flat scan,
-    # and the crafted word's one-point outer list leaves slices empty
+    # and the crafted word's one-point outer list leaves slices empty.  The
+    # CPU count reads 2, so 2 workers split on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(decode, "_PAR_COMBINE_MIN", 0)
     rng = random.Random(8)
     cases = [(CVector([HALF_PHI] * 16), Fraction(1, 2)),
@@ -266,8 +274,11 @@ def test_every_fold_node_can_go_through_the_pool(monkeypatch) -> None:
 
 def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
     # a stand-in pool runs every task in-process, so no process starts; it
-    # records the pool size and the tasks of each sliced pair scan
-    sizes, scans = [], []
+    # records the pool size, the leaf words and the tasks of each sliced
+    # pair scan.  On a machine of 3 CPUs a million workers become 3, which
+    # split one level deep (4**1 >= 3) into 4 leaf words
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sizes, leaves, scans = [], [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -281,6 +292,8 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
 
         def map(self, fn, *iterables):
             calls = list(zip(*iterables))
+            if fn is decode._decode_core:
+                leaves.append(len(calls))
             if fn is decode._scan_blocks:
                 scans.append([blocks for _, _, _, _, blocks, _ in calls])
             return starmap(fn, calls)
@@ -290,7 +303,8 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
     eta = Fraction(3, 4)
     assert (list_decode_parallel(r, eta, 10**6).to_lines()
             == list_decode(r, eta).to_lines())
-    assert len(sizes) == 1 and sizes[0] <= (os.cpu_count() or 1)
+    assert sizes == [3]
+    assert leaves == [4**1]
     # the level-5 root is sliced: at most two tasks per process, and every
     # task gets only non-empty outer slices
     assert scans
@@ -317,8 +331,8 @@ def test_validation_mode_reproduces_output() -> None:
     )
     runs = {}
     for flag in ("0", "1"):
-        env = dict(os.environ, BWLIST_VALIDATE=flag)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(SRC_ENV, BWLIST_VALIDATE=flag),
                               capture_output=True, text=True, check=True)
         runs[flag] = proc.stdout
     assert runs["0"] == runs["1"]
@@ -413,6 +427,42 @@ def test_validation_rechecks_survivors_on_both_scan_paths(monkeypatch) -> None:
                             lambda pt, size=size: len(pt) < size)
         with pytest.raises(InvariantError):
             list_decode(r, eta)
+
+
+def _text_and_ops_per_scan_path(r: CVector, eta: Fraction):
+    """list_decode's text and counted ops with the default trie cutoff, with
+    a trie for every inner list, and with a flat scan for every one."""
+    runs = []
+    for trie_min in (_TRIE_MIN, 1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decode, "_TRIE_MIN", trie_min)
+            counter = CostCounter()
+            lines = list_decode(r, eta, counter=counter).to_lines()
+        runs.append((lines, counter.ops))
+    return runs
+
+
+def test_flat_scan_and_trie_agree_on_every_list_length() -> None:
+    # by default the flat loop never sees an inner list of _TRIE_MIN or more
+    # points and the trie never sees a shorter one; forcing either path onto
+    # every list must keep every member, every distance and the op count.
+    # The deep holes and the crafted word put members exactly on the radius
+    rng = random.Random(9)
+    cases = [(CVector([HALF_PHI] * 16), Fraction(1, 2)),
+             (CVector([HALF_PHI] * 32), Fraction(1, 2)),
+             (lower_bound_instance(4, Fraction(1, 4)).received, Fraction(3, 4))]
+    cases += [(random_word(rng, n), eta) for n in (3, 4, 5)
+              for eta in (Fraction(1, 4), Fraction(3, 4))]
+    for r, eta in cases:
+        default, trie, flat = _text_and_ops_per_scan_path(r, eta)
+        assert trie == default and flat == default, (r.n, eta)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_words_and_radii())
+def test_flat_scan_and_trie_agree_on_small_words(case) -> None:
+    default, trie, flat = _text_and_ops_per_scan_path(*case)
+    assert trie == default and flat == default
 
 
 def _object_lines(result) -> list[str]:

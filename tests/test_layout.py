@@ -1,6 +1,7 @@
 """Source-layout rules that keep module boundaries honest."""
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -20,4 +21,33 @@ def test_no_private_names_imported_across_modules() -> None:
         for match in _IMPORT_RE.finditer(path.read_text(encoding="utf-8")):
             if _PRIVATE_RE.search(match.group(1)):
                 offenders.append(f"{path.name}: {match.group(0)}")
+    assert not offenders, offenders
+
+
+def _is_sys_executable(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "executable"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_child_interpreters_get_the_src_environment() -> None:
+    # pyproject.toml's pythonpath reaches only the pytest process, so a
+    # `sys.executable` child imports this checkout's bwlist only through
+    # tests/srcenv.py's SRC_ENV: every use of sys.executable must sit in the
+    # arguments of a call whose env= reads SRC_ENV
+    offenders = []
+    for path in sorted(ROOT.glob("tests/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses = {id(node): node for node in ast.walk(tree)
+                if _is_sys_executable(node)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            env = [kw.value for kw in call.keywords if kw.arg == "env"]
+            if not any(isinstance(node, ast.Name) and node.id == "SRC_ENV"
+                       for value in env for node in ast.walk(value)):
+                continue
+            for arg in call.args:
+                for node in ast.walk(arg):
+                    uses.pop(id(node), None)
+        offenders += [f"{path.name}:{node.lineno}" for node in uses.values()]
     assert not offenders, offenders

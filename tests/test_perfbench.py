@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from srcenv import SRC_ENV
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -12,5 +14,6 @@ def test_perfbench_selftest_passes() -> None:
     # level-3 decodes of every workload through perfbench/selftest.py: a
     # change to an API the benchmark reads fails here, not only in a bench run
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
-                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+                          cwd=ROOT, env=SRC_ENV, capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
