@@ -1,13 +1,17 @@
 """Closed-form list-size bounds and an empirical validation harness.
 
-Upper bounds on the worst-case list size at relative squared radius eta:
+Upper bounds on the worst-case list size at relative squared radius eta,
+by the name `applicable_upper` returns with each:
 
-* eta = 1/2 - eps (eps > 0): floor(1/(2 eps)), dimension-free;
-* eta = 1/2 exactly: 4N (tight: the all-(phi/2) word meets it);
-* eta = 5/8: 4 * 24**n;
-* eta = 3/4: 4 * 24**(2n);
-* eta = 1 - eps < 1: ceil(4 * (1/eps)**(16 n));
-* eta >= 1: no finite closed form here.
+* johnson-eps, eta = 1/2 - eps (eps > 0): floor(1/(2 eps)),
+  dimension-free;
+* johnson-half, eta = 1/2 exactly: 4N (tight: the all-(phi/2) word
+  meets it);
+* five-eighths, eta = 5/8: 4 * 24**n;
+* three-quarters, eta = 3/4: 4 * 24**(2n);
+* one-minus-eps, eta = 1 - eps < 1 (any other radius above 1/2):
+  ceil(4 * (1/eps)**(16 n));
+* none, eta >= 1: no finite closed form here.
 
 Lower bound: floor(2**((n - L)(L - 1))) with L = log2(1/eps), clamped to
 >= 1, realized by the subspace-witness construction in `rmcode`.
@@ -42,48 +46,6 @@ DEFAULT_ETA_GRID = (
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
-
-
-def johnson_half(n: int) -> int:
-    """List-size bound 4N at radius exactly 1/2."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return 4 << n
-
-
-def johnson_eps(eps: RationalLike) -> int:
-    """Dimension-free bound floor(1/(2 eps)) at radius 1/2 - eps."""
-    eps = Fraction(eps)
-    if not 0 < eps <= Fraction(1, 2):
-        raise ValueError("eps must lie in (0, 1/2]")
-    return int(1 / (2 * eps))
-
-
-def upper_58(n: int) -> int:
-    """Bound 4 * 24**n at radius 5/8."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return 4 * 24**n
-
-
-def upper_34(n: int) -> int:
-    """Bound 4 * 24**(2n) at radius 3/4."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return 4 * 24 ** (2 * n)
-
-
-def upper_eps(eps: RationalLike, n: int) -> int:
-    """Bound ceil(4 * (1/eps)**(16 n)) at radius 1 - eps."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    e = 16 * n
-    num = 4 * eps.denominator**e
-    den = eps.numerator**e
-    return -(-num // den)
 
 
 def _pow2_exponent(v: Fraction) -> Optional[int]:
@@ -135,17 +97,23 @@ def applicable_upper(eta: RationalLike, n: int) -> tuple[str, Optional[int]]:
     eta = Fraction(eta)
     if eta < 0:
         raise ValueError("radius must be >= 0")
+    if eta >= 1:
+        return "none", None
+    # the level is checked for every finite bound, the dimension-free one too
+    if n < 0:
+        raise ValueError("level must be >= 0")
     if eta < Fraction(1, 2):
-        return "johnson-eps", johnson_eps(Fraction(1, 2) - eta)
+        # 1/(2 eps) with eps = 1/2 - eta, floored
+        return "johnson-eps", int(1 / (1 - 2 * eta))
     if eta == Fraction(1, 2):
-        return "johnson-half", johnson_half(n)
+        return "johnson-half", 4 << n
     if eta == Fraction(5, 8):
-        return "five-eighths", upper_58(n)
+        return "five-eighths", 4 * 24**n
     if eta == Fraction(3, 4):
-        return "three-quarters", upper_34(n)
-    if eta < 1:
-        return "one-minus-eps", upper_eps(1 - eta, n)
-    return "none", None
+        return "three-quarters", 4 * 24 ** (2 * n)
+    eps = 1 - eta
+    e = 16 * n
+    return "one-minus-eps", -(-4 * eps.denominator**e // eps.numerator**e)
 
 
 # ---------------------------------------------------------------------------

@@ -132,28 +132,22 @@ class DecodeList:
     """The members within a radius of a received word, each with its exact
     relative squared distance, in canonical order.
 
-    Holds what the decoder produces: the scaled entries ((re, im) pairs,
-    tot), sorted, and the one scale den^2 * size.  `to_lines` formats
-    straight from those integers.  The DecodeEntry objects behind
-    `entries` and iteration are built when first read and then cached;
-    `len` builds none.
+    Built from what the decoder produces: scaled entries ((re, im) pairs,
+    tot), tot the exact scaled squared distance
+    sum_j |den * r_j - den * w_j|^2, so the relative squared distance is
+    tot / (den^2 * size), size the vector length.  The list keeps them
+    sorted, with the one scale den^2 * size, and `to_lines` formats
+    straight from those integers.  The DecodeEntry objects behind the
+    `entries` property and iteration are built when first read and then
+    cached; `len` builds none.
     """
 
     __slots__ = ("_scaled", "_scale", "_entries")
 
-    @classmethod
-    def from_scaled(cls, size: int, den: int, entries) -> DecodeList:
-        """Package scaled-integer entries in canonical order.
-
-        Each entry is ((re, im) pairs, tot) with tot the exact scaled
-        squared distance sum_j |den * r_j - den * w_j|^2, so the relative
-        squared distance is tot / (den^2 * size), size the vector length.
-        """
-        self = object.__new__(cls)
+    def __init__(self, size: int, den: int, entries) -> None:
         self._scaled = sorted(entries)
         self._scale = den * den * size
         self._entries = None
-        return self
 
     @property
     def entries(self) -> tuple[DecodeEntry, ...]:
@@ -258,35 +252,25 @@ def _inner_trie(inners, den):
     scaled residual.  A node is a dict from key to either a child node or,
     where only one point shares the prefix, that point's index in
     `inners`: the leaf stores the point whole.  Returns (root, keys) with
-    keys[i] the full key tuple of inners[i].  Built by insertion, without
-    recursion; the inner points must be distinct.
+    keys[i] the full key tuple of inners[i].  Built by grouping, without
+    recursion: each node groups its points by their next key, in order of
+    first appearance; the inner points must be distinct.
     """
     keys = [tuple((den * (c + d), den * (d - c)) for c, d in pt)
             for pt, _ in inners]
     root = {}
-    for i, kt in enumerate(keys):
-        node, j = root, 0
-        k = kt[0]
-        child = node.get(k)
-        while child.__class__ is dict:
-            node = child
-            j += 1
-            k = kt[j]
-            child = node.get(k)
-        if child is not None:
-            # split the leaf: a chain of nodes down the shared prefix, then
-            # both points hang where their keys part
-            other = keys[child]
-            while True:
-                sub = {}
-                node[k] = sub
-                node = sub
-                j += 1
-                k = kt[j]
-                if other[j] != k:
-                    node[other[j]] = child
-                    break
-        node[k] = i
+    stack = [(root, range(len(keys)), 0)]
+    while stack:
+        node, ids, j = stack.pop()
+        # the node maps each next key to its group, then to a leaf or child
+        for i in ids:
+            node.setdefault(keys[i][j], []).append(i)
+        for k, group in node.items():
+            if len(group) == 1:
+                node[k] = group[0]
+            else:
+                node[k] = child = {}
+                stack.append((child, group, j + 1))
     return root, keys
 
 
@@ -461,7 +445,7 @@ def list_decode(
     nums, den = vector_to_scaled(r)
     pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
                        counter, max_list)
-    return DecodeList.from_scaled(len(r), den, pts)
+    return DecodeList(len(r), den, pts)
 
 
 def list_decode_parallel(
@@ -519,7 +503,7 @@ def list_decode_parallel(
                               pool, workers)
                 for i, (words, wden) in enumerate(levels[k])
             ]
-    return DecodeList.from_scaled(len(r), den, lists[0])
+    return DecodeList(len(r), den, lists[0])
 
 
 def combine_candidates(pairing: str, known: Sequence[GaussianInt],

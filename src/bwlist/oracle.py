@@ -101,7 +101,7 @@ def oracle_list(
     for pt, _ in entries:
         if not member_pairs(pt):
             raise InvariantError(f"oracle emitted non-member {pt}")
-    return DecodeList.from_scaled(len(r), den, entries)
+    return DecodeList(len(r), den, entries)
 
 
 def shortest_vectors(
@@ -127,4 +127,4 @@ def shortest_vectors(
     if not norms:
         raise InvariantError("no nonzero member found at relative distance 1")
     min_norm = min(norms)
-    return min_norm, DecodeList.from_scaled(size, 1, norms[min_norm])
+    return min_norm, DecodeList(size, 1, norms[min_norm])

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from bwlist.arith import CVector, GaussianInt, level_of, phi_pow
@@ -127,20 +127,17 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
     if k < 0 or k > n:
         return
     for pivots in combinations(range(n - 1, -1, -1), k):
-        free = [
-            [b for b in range(p) if b not in pivots] for p in pivots
-        ]
-        def fill(i: int, rows: list[int]) -> Iterator[Subspace]:
-            if i == k:
-                yield Subspace(tuple(rows), n)
-                return
-            for pattern in range(1 << len(free[i])):
-                row = 1 << pivots[i]
-                for pos, b in enumerate(free[i]):
-                    if pattern >> pos & 1:
-                        row |= 1 << b
-                yield from fill(i + 1, rows + [row])
-        yield from fill(0, [])
+        # each row's choices: its pivot bit plus any set of the free bits
+        # below it, in counting order of those bits
+        rows = []
+        for p in pivots:
+            choices = [1 << p]
+            for b in range(p):
+                if b not in pivots:
+                    choices += [c | 1 << b for c in choices]
+            rows.append(choices)
+        for basis in product(*rows):
+            yield Subspace(basis, n)
 
 
 def subspace_char_vector(space: Subspace) -> Bits:
@@ -276,5 +273,4 @@ def lower_bound_instance(n: int, eps: Fraction | int) -> LowerBoundInstance:
                 f"witness at squared distance {got}, expected {dist_num}"
             )
         entries.append((pairs, dist_num))
-    return LowerBoundInstance(k, received,
-                              DecodeList.from_scaled(size, 1, entries))
+    return LowerBoundInstance(k, received, DecodeList(size, 1, entries))

@@ -8,6 +8,7 @@ radius-3/4 instance once per worker count.
 """
 from __future__ import annotations
 
+import os
 import random
 import time
 from fractions import Fraction
@@ -228,7 +229,11 @@ def test_07_operation_count_scales_as_grid_squared() -> None:
             ok, f"spread {spread:.3f}, level-10 wall {walls[10]:.2f}s")
 
 
-def test_08_worker_count_never_changes_output() -> None:
+def test_08_worker_count_never_changes_output(monkeypatch) -> None:
+    # workers are clamped to the CPU count, which reads 8 here, so on any
+    # machine 8 workers split the cells of level >= 5 two levels deep on a
+    # pool of 8 processes, not the same run as 2 workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     failures = []
     cells = 0
     for n in range(9):

@@ -7,44 +7,53 @@ import pytest
 from bwlist.bounds import (
     DEFAULT_ETA_GRID,
     applicable_upper,
-    johnson_eps,
-    johnson_half,
     lower_eps,
-    upper_34,
-    upper_58,
-    upper_eps,
     validate_bounds,
 )
 
 
 def test_johnson_half_values() -> None:
-    assert [johnson_half(n) for n in range(4)] == [4, 8, 16, 32]
+    assert [applicable_upper(Fraction(1, 2), n) for n in range(4)] == [
+        ("johnson-half", 4), ("johnson-half", 8),
+        ("johnson-half", 16), ("johnson-half", 32),
+    ]
 
 
 def test_johnson_eps_values() -> None:
-    assert johnson_eps(Fraction(1, 2)) == 1
-    assert johnson_eps(Fraction(1, 4)) == 2
-    assert johnson_eps(Fraction(1, 5)) == 2
-    assert johnson_eps(Fraction(1, 8)) == 4
+    # radius 1/2 - eps: floor(1/(2 eps)) at every level
+    for n in range(4):
+        assert applicable_upper(0, n) == ("johnson-eps", 1)
+        assert applicable_upper(Fraction(1, 4), n) == ("johnson-eps", 2)
+        assert applicable_upper(Fraction(3, 10), n) == ("johnson-eps", 2)
+        assert applicable_upper(Fraction(3, 8), n) == ("johnson-eps", 4)
     with pytest.raises(ValueError):
-        johnson_eps(Fraction(3, 4))
-    with pytest.raises(ValueError):
-        johnson_eps(0)
+        applicable_upper(Fraction(-1, 4), 1)
 
 
 def test_fixed_radius_uppers() -> None:
-    assert [upper_58(n) for n in range(3)] == [4, 96, 2304]
-    assert [upper_34(n) for n in range(3)] == [4, 2304, 1327104]
+    assert [applicable_upper(Fraction(5, 8), n)[1] for n in range(3)] == [
+        4, 96, 2304]
+    assert [applicable_upper(Fraction(3, 4), n)[1] for n in range(3)] == [
+        4, 2304, 1327104]
 
 
 def test_upper_eps_values() -> None:
-    assert upper_eps(Fraction(1, 2), 0) == 4
-    assert upper_eps(Fraction(1, 2), 1) == 4 * 2**16
-    assert upper_eps(Fraction(1, 3), 1) == 4 * 3**16
+    # radius 1 - eps: ceil(4 * (1/eps)**(16 n))
+    assert applicable_upper(Fraction(7, 8), 0) == ("one-minus-eps", 4)
+    assert applicable_upper(Fraction(7, 8), 1) == ("one-minus-eps", 4 * 8**16)
+    assert applicable_upper(Fraction(2, 3), 1) == ("one-minus-eps", 4 * 3**16)
     # non-integer power: ceiling must round up
-    assert upper_eps(Fraction(2, 3), 1) == -(-4 * 3**16 // 2**16)
-    with pytest.raises(ValueError):
-        upper_eps(0, 1)
+    assert applicable_upper(Fraction(3, 5), 1) == (
+        "one-minus-eps", -(-4 * 5**16 // 2**16))
+    # eps = 0 is radius 1, where no closed form applies
+    assert applicable_upper(1, 1) == ("none", None)
+
+
+def test_negative_level_rejected_at_every_finite_bound() -> None:
+    for eta in (0, Fraction(1, 4), Fraction(1, 2), Fraction(5, 8),
+                Fraction(3, 4), Fraction(7, 8)):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            applicable_upper(eta, -1)
 
 
 def test_lower_eps_power_of_two() -> None:
@@ -75,9 +84,8 @@ def test_applicable_upper_dispatch() -> None:
     assert applicable_upper(Fraction(1, 2), 2) == ("johnson-half", 16)
     assert applicable_upper(Fraction(5, 8), 2) == ("five-eighths", 2304)
     assert applicable_upper(Fraction(3, 4), 2) == ("three-quarters", 1327104)
-    name, value = applicable_upper(Fraction(7, 8), 1)
-    assert name == "one-minus-eps"
-    assert value == upper_eps(Fraction(1, 8), 1)
+    assert applicable_upper(Fraction(7, 8), 1) == ("one-minus-eps",
+                                                    4 * 8**16)
     assert applicable_upper(Fraction(1), 2) == ("none", None)
     assert applicable_upper(Fraction(3, 2), 2) == ("none", None)
 

@@ -465,6 +465,55 @@ def test_flat_scan_and_trie_agree_on_small_words(case) -> None:
     assert trie == default and flat == default
 
 
+@st.composite
+def _distinct_points(draw):
+    """Distinct inner points of one length, as (pt, tot) entries, and a den.
+
+    Each point copies a prefix of one shared stem and draws the rest, so
+    points share prefixes of every length up to the whole stem.
+    """
+    half = draw(st.integers(1, 8))
+    coord = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    stem = tuple(draw(st.lists(coord, min_size=half, max_size=half)))
+    point = st.integers(0, half).flatmap(
+        lambda cut: st.lists(coord, min_size=half - cut,
+                             max_size=half - cut).map(
+            lambda tail: stem[:cut] + tuple(tail)))
+    pts = draw(st.lists(point, min_size=1, max_size=40, unique=True))
+    return [(pt, 0) for pt in pts], draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_points())
+def test_inner_trie_shape(case) -> None:
+    inners, den = case
+    root, keys = decode._inner_trie(inners, den)
+    assert keys == [tuple((den * (c + d), den * (d - c)) for c, d in pt)
+                    for pt, _ in inners]
+    # every point's key path ends at a leaf that holds its index
+    for i, kt in enumerate(keys):
+        node, j = root, 0
+        while node.__class__ is dict:
+            node = node[kt[j]]
+            j += 1
+        assert node == i
+    stack = [((), root)]
+    while stack:
+        prefix, node = stack.pop()
+        j = len(prefix)
+        under = [i for i, kt in enumerate(keys) if kt[:j] == prefix]
+        # every child dict holds at least two points
+        assert len(under) >= 2 or not prefix
+        # keys are in order of first appearance
+        assert list(node) == list(dict.fromkeys(keys[i][j] for i in under))
+        for k, child in node.items():
+            if child.__class__ is dict:
+                stack.append((prefix + (k,), child))
+            else:
+                # no other point shares the key prefix of a leaf
+                assert [i for i in under if keys[i][j] == k] == [child]
+
+
 def _object_lines(result) -> list[str]:
     """The text of a result built from its DecodeEntry objects."""
     return [f"{format_vector(e.point)}\t{e.distance}" for e in result]

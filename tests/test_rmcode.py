@@ -80,7 +80,7 @@ def test_gaussian_binomial_values() -> None:
 
 
 def test_enumerate_subspaces_matches_count() -> None:
-    for n in range(1, 5):
+    for n in range(6):
         for k in range(n + 1):
             spaces = list(enumerate_subspaces(n, k))
             assert len(spaces) == gaussian_binomial(n, k)
@@ -90,6 +90,15 @@ def test_enumerate_subspaces_matches_count() -> None:
                 assert len(s.basis) == k
                 pts = list(s.points())
                 assert len(pts) == 1 << k
+                # reduced row echelon form: a row's pivot is its top bit, so
+                # no row has a bit above its pivot; the pivots are distinct
+                # and descending, and each is set in its own row only
+                assert all(0 < row < 1 << n for row in s.basis)
+                pivots = [row.bit_length() - 1 for row in s.basis]
+                assert all(a > b for a, b in zip(pivots, pivots[1:]))
+                for i, p in enumerate(pivots):
+                    assert [j for j, row in enumerate(s.basis)
+                            if row >> p & 1] == [i]
 
 
 def test_char_vector_degree_matches_codimension() -> None:
