@@ -63,9 +63,6 @@ class GaussianInt:
     def __rmul__(self, other: int) -> GaussianInt:
         return self.__mul__(other)
 
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 

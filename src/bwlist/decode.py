@@ -10,7 +10,7 @@ radius: r0, r1 and the two transformed words
 then reassembles candidates from the four returned lists.  For a member
 w = [w0, w1], knowing any one half plus the matching transform
 (phi/2)(w0 +/- w1) determines the other half linearly, which is what the
-four pairings in `combine_candidates` implement.  Assembled candidates are
+four pairings in `_scan_blocks` implement.  Assembled candidates are
 always members; the exact distance filter then keeps those within radius.
 
 Internally everything runs on integer (re, im) pairs over one common
@@ -70,12 +70,11 @@ test suite at small levels).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from bwlist.arith import (
     CVector,
@@ -84,8 +83,6 @@ from bwlist.arith import (
     vector_to_scaled,
 )
 from bwlist.lattice import BWPoint, member_pairs
-
-PAIRINGS = ("0+", "0-", "1+", "1-")
 
 _VALIDATE = os.environ.get("BWLIST_VALIDATE", "") not in ("", "0")
 
@@ -492,6 +489,8 @@ def list_decode_parallel(
             level += [(r0, wden), (r1, wden), (rp, den2), (rm, den2)]
         levels.append(level)
     leaf_words, leaf_dens = zip(*levels[depth])
+    # imported here: only a decode that splits loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         lists = list(pool.map(_decode_core, leaf_words, leaf_dens,
                               repeat(n - depth), repeat(p), repeat(q),
@@ -504,28 +503,3 @@ def list_decode_parallel(
                 for i, (words, wden) in enumerate(levels[k])
             ]
     return DecodeList(len(r), den, lists[0])
-
-
-def combine_candidates(pairing: str, known: Sequence[GaussianInt],
-                       transformed: Sequence[GaussianInt]) -> CVector:
-    """Assemble a level-n candidate from level-(n-1) members.
-
-    `pairing` says which half `known` is (0 = left, 1 = right) and which
-    transformed word `transformed` decodes ('+' for (phi/2)(w0 + w1),
-    '-' for (phi/2)(w0 - w1)).  This is the public reference for the
-    reconstruction: it reads the same `_PAIRING_SPECS` table as the
-    decoder's pair scan, so the tests that pin it pin that table too.
-    """
-    if pairing not in PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}")
-    if len(known) != len(transformed):
-        raise ValueError("halves must have equal length")
-    t_sign, k_sign, unknown_left = _PAIRING_SPECS[pairing]
-    other = [
-        GaussianInt(t_sign * (z.re + z.im) + k_sign * k.re,
-                    t_sign * (z.im - z.re) + k_sign * k.im)
-        for k, z in zip(known, transformed)
-    ]
-    known = list(known)
-    coords = other + known if unknown_left else known + other
-    return CVector(coords)

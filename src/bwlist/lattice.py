@@ -131,9 +131,6 @@ class BWPoint:
     def __iter__(self) -> Iterator[GaussianInt]:
         return iter(self.coords)
 
-    def __getitem__(self, j: int) -> GaussianInt:
-        return self.coords[j]
-
     def key(self) -> tuple[tuple[int, int], ...]:
         """Canonical sort key: lexicographic by (re, im) pairs."""
         return tuple((z.re, z.im) for z in self.coords)
@@ -150,20 +147,21 @@ class BWPoint:
 def generator_matrix(n: int) -> tuple[tuple[GaussianInt, ...], ...]:
     """Rows of the n-fold Kronecker power of [[1, 1], [0, phi]].
 
-    The rows generate the level-n lattice over Z[i]; the matrix is upper
-    triangular.
+    Row S is `multilinear_evaluate` of the S-th unit coefficient vector:
+    phi^|S| in every column j with S a subset of j (S & j == S), 0
+    elsewhere.  The rows generate the level-n lattice over Z[i]; the
+    matrix is upper triangular.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     zero = GaussianInt(0, 0)
-    rows: list[tuple[GaussianInt, ...]] = [(GaussianInt(1, 0),)]
-    for _ in range(n):
-        size = len(rows)
-        top = [row + row for row in rows]
-        pad = (zero,) * size
-        bottom = [pad + tuple(z.mul_phi() for z in row) for row in rows]
-        rows = top + bottom
-    return tuple(rows)
+    powers = [phi_pow(k) for k in range(n + 1)]
+    size = 1 << n
+    return tuple(
+        tuple(powers[s.bit_count()] if s & j == s else zero
+              for j in range(size))
+        for s in range(size)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +225,12 @@ def multilinear_interpolate(x: PointLike) -> tuple[GaussianInt, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _random_pairs(rng: random.Random, n: int) -> list[GPair]:
-    if n == 0:
-        return [(rng.randint(-3, 3), rng.randint(-3, 3))]
-    u = _random_pairs(rng, n - 1)
-    v = _random_pairs(rng, n - 1)
-    return u + [(a + c - d, b + c + d) for (a, b), (c, d) in zip(u, v)]
-
-
 def random_member(rng: random.Random, n: int) -> BWPoint:
-    """Sample a member by drawing the recursive [u, u + phi*v] leaves at random.
+    """Sample a member as `multilinear_evaluate` of random coefficients.
 
-    Each level-0 leaf has real and imaginary parts uniform in [-3, 3].
+    Each coefficient a_S has real and imaginary parts uniform in [-3, 3],
+    drawn real then imaginary, in mask order S = 0, 1, ..., 2**n - 1.
     """
-    pairs = _random_pairs(rng, n)
-    return BWPoint.unchecked(GaussianInt(a, b) for a, b in pairs)
+    return multilinear_evaluate([GaussianInt(rng.randint(-3, 3),
+                                             rng.randint(-3, 3))
+                                 for _ in range(1 << n)])

@@ -5,15 +5,21 @@ through the helpers below: the half swap and the transform T map the
 lattice onto itself, T preserves distances and squares to i, and the
 relative squared distance splits across the two halves of the recursion.
 Multiplication and division by phi over the rationals, and joining two
-halves, serve only these statements.  The library itself never calls
-any of them, so they live with the tests.
+halves, serve only these statements.  `combine_candidates` is the
+reference for the decoder's reconstruction of a member from one half and
+one transform.  The library itself never calls any of them, so they live
+with the tests.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
-from bwlist.arith import CVector, QComplex, rsd
+from bwlist.arith import CVector, GaussianInt, QComplex, rsd
+from bwlist.decode import _PAIRING_SPECS
 from bwlist.lattice import BWPoint
+
+PAIRINGS = ("0+", "0-", "1+", "1-")
 
 
 def to_cvector(point: BWPoint) -> CVector:
@@ -83,3 +89,28 @@ def half_relation(r: CVector, w: CVector) -> tuple[Fraction, Fraction, Fraction]
     eta0 = rsd(r0, w0)
     eta1 = rsd(div_phi(r1 - w0), v)
     return eta, eta0, eta1
+
+
+def combine_candidates(pairing: str, known: Sequence[GaussianInt],
+                       transformed: Sequence[GaussianInt]) -> CVector:
+    """Assemble a level-n candidate from level-(n-1) members.
+
+    `pairing` says which half `known` is (0 = left, 1 = right) and which
+    transformed word `transformed` decodes ('+' for (phi/2)(w0 + w1),
+    '-' for (phi/2)(w0 - w1)).  It reads the same `_PAIRING_SPECS` table
+    as the decoder's pair scan, so the tests that pin it pin that table
+    too.
+    """
+    if pairing not in PAIRINGS:
+        raise ValueError(f"unknown pairing {pairing!r}")
+    if len(known) != len(transformed):
+        raise ValueError("halves must have equal length")
+    t_sign, k_sign, unknown_left = _PAIRING_SPECS[pairing]
+    other = [
+        GaussianInt(t_sign * (z.re + z.im) + k_sign * k.re,
+                    t_sign * (z.im - z.re) + k_sign * k.im)
+        for k, z in zip(known, transformed)
+    ]
+    known = list(known)
+    coords = other + known if unknown_left else known + other
+    return CVector(coords)

@@ -164,9 +164,13 @@ def test_console_script_entry_point() -> None:
 
 
 def test_cli_import_leaves_mpmath_unloaded() -> None:
-    # only bounds.lower_eps's non-dyadic branch needs mpmath, so startup of
-    # every command skips its import
-    script = "import sys, bwlist.cli; assert 'mpmath' not in sys.modules"
+    # only bounds.lower_eps's non-dyadic branch needs mpmath, and only a
+    # decode that splits needs the process pool, so startup of every command
+    # skips their imports
+    script = ("import sys, bwlist.cli\n"
+              "for name in ('mpmath', 'concurrent.futures.process',"
+              " 'multiprocessing'):\n"
+              "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import random
 import subprocess
@@ -18,11 +19,9 @@ from bwlist.arith import PHI, CVector, GaussianInt, QComplex, format_vector, rsd
 from bwlist.bounds import random_word
 from bwlist.decode import (
     _TRIE_MIN,
-    PAIRINGS,
     CostCounter,
     InvariantError,
     MaxListExceeded,
-    combine_candidates,
     list_decode,
     list_decode_parallel,
 )
@@ -30,7 +29,7 @@ from bwlist.lattice import BWPoint, is_member, random_member
 from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance
 from srcenv import SRC_ENV
-from symmetry import automorphism_t, to_cvector
+from symmetry import PAIRINGS, automorphism_t, combine_candidates, to_cvector
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
 
@@ -62,9 +61,9 @@ def test_combine_candidate_examples() -> None:
 def test_combine_candidates_rebuild_members() -> None:
     """Every pairing rebuilds a member from one half and one transform.
 
-    `combine_candidates` is kept as the public reference for the
-    reconstruction that `_PAIRING_SPECS` feeds to the decoder's pair scan;
-    this pins all four pairings, not only the examples above.
+    `symmetry.combine_candidates` is the reference for the reconstruction
+    that `_PAIRING_SPECS` feeds to the decoder's pair scan; this pins all
+    four pairings, not only the examples above.
     """
     rng = random.Random(12)
     for n in range(1, 5):
@@ -298,7 +297,7 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
                 scans.append([blocks for _, _, _, _, blocks, _ in calls])
             return starmap(fn, calls)
 
-    monkeypatch.setattr(decode, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
     assert (list_decode_parallel(r, eta, 10**6).to_lines()

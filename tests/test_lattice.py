@@ -93,6 +93,8 @@ def test_generator_combinations_are_members() -> None:
             point = sum((CVector(row) * c for c, row in zip(coeffs, g)),
                         CVector([0] * (1 << n)))
             assert is_member(point)
+            # the rows state the same map as the fast transform
+            assert point == to_cvector(multilinear_evaluate(coeffs))
 
 
 def test_member_set_is_closed_under_ring_ops() -> None:
@@ -111,6 +113,16 @@ def test_random_member_is_deterministic_per_seed() -> None:
     a = random_member(random.Random(4), 3)
     b = random_member(random.Random(4), 3)
     assert a == b
+    # the stream itself is pinned: check 6 draws its received words from
+    # the same generator right after each member, so the order of the
+    # draws is part of its inputs
+    assert [(z.re, z.im) for z in a] == [
+        (-2, -1), (-7, -2), (-2, -1), (-1, -6),
+        (-2, -7), (-9, -8), (-8, -9), (-9, -2),
+    ]
+    assert [(z.re, z.im) for z in random_member(random.Random(4), 2)] == [
+        (-2, -1), (-7, -2), (-2, -1), (-1, -6),
+    ]
 
 
 def test_swap_halves_preserves_membership() -> None:
