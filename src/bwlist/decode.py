@@ -41,26 +41,47 @@ perfbench's traced run):
   scan, counted from the list sizes whether the flat scan or the trie
   join visits it.
 
-The recursion is deliberately literal — all four child calls are always
-made even when some child lists come back empty — so counted ops track the
-4**n envelope instead of the luck of a particular received word.
+A node decodes its plain halves r0 and r1 first.  When both lists come
+back empty, an uncounted decode returns the empty list without decoding
+r_plus and r_minus.  This is exact: both halves of a member w = [w0, w1]
+are level-(n-1) members, and rsd(r, w) = (rsd(r0, w0) + rsd(r1, w1)) / 2,
+so a member within eta of r has a half within eta of r0 or of r1; with
+no known half there is no pair to assemble.  A decode given a
+CostCounter runs the literal recursion instead, all four child calls at
+every node, so counted ops track the 4**n envelope rather than the luck
+of a particular received word.
+
+Within one decode, each node of level >= 2 is decoded once per distinct
+(word, den): a memo holds its list and the ops its subtree counted, and a
+repeat adds those ops to the counter, so counted ops equal the literal
+recursion's.  Structured words repeat subproblems heavily: the level-8
+all-phi/2 word has 80 distinct nodes below its root, out of 87 380.
+Levels 0 and 1 are left out: their nodes are cheap and so many that
+building and holding their keys costs more than the repeats save.  The
+memo belongs to one call and never outlives it; the lists it hands back
+are shared, and nothing downstream mutates them.
 
 A `max_list` cap aborts the whole decode with MaxListExceeded as soon as
-*any* list, intermediate or final, exceeds it: intermediate lists can blow
-up near eta = 1 even when the final list is small, and the cap exists to
-protect batch runs from exactly that.  The base case checks the cap as
-its grid grows, so a huge radius fails before the grid is built, and a
+any list the decode builds, intermediate or final, exceeds it:
+intermediate lists can blow up near eta = 1 even when the final list is
+small, and the cap exists to protect batch runs from exactly that.  A
+list in a subtree that the early exit skips is never built, so its size
+cannot trip the cap; a counted decode builds every list and may raise
+where an uncounted one returns.  The base case checks the cap as its
+grid grows, so a huge radius fails before the grid is built, and a
 combine's pair scan checks it as each survivor is stored.
 
 Every combine runs through one pair scan, `_scan_blocks`, which holds
 both the flat loop and the trie walk.  The parallel decoder shares the
 recursion rather than copying it: it clamps the worker count to the CPU
 count, splits the top d levels breadth first until there are at least
-that many words, decodes the 4**d deepest words on a pool of that many
-processes, and folds back up with the same `_combine_core`, which hands
-a large node's pair scan to the pool in stride slices, task k of m taking
-every m-th outer of every pairing, so a task builds each inner trie just
-once.
+that many words, decodes each distinct one of the 4**d deepest words on
+a pool of that many processes, and folds back up with the same
+`_combine_core`, which hands a large node's pair scan to the pool in
+stride slices, task k of m taking every m-th outer of every pairing, so
+a task builds each inner trie just once.  The fold takes the same early
+exit and raises a leaf's MaxListExceeded only where `list_decode` would,
+so a cap fires alike at every worker count.
 
 Set the BWLIST_VALIDATE environment variable to re-check every candidate
 that survives the distance scan against the lattice (slow; meant for the
@@ -194,9 +215,14 @@ def _split_words(nums, den, n):
     return r0, r1, tuple(rp), tuple(rm), den + den
 
 
-def _decode_core(nums, den, n, p, q, counter, max_list):
+def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
     """Returns [(point, tot)]: tot is the exact scaled squared distance
-    sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N)."""
+    sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
+
+    `memo` maps the (nums, den) of each node of level >= 2 decoded so far
+    to its list and the ops its subtree counted; a call without one starts
+    its own, so a memo never outlives the decode it belongs to.  The lists
+    it returns are shared and must not be mutated."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -219,15 +245,33 @@ def _decode_core(nums, den, n, p, q, counter, max_list):
             counter.ops += (xhi - xlo + 1) * (yhi - ylo + 1)
         return out
 
+    if memo is None:
+        memo = {}
+    if n >= 2:
+        hit = memo.get((nums, den))
+        if hit is not None:
+            if counter is not None:
+                counter.ops += hit[1]
+            return hit[0]
+        start = counter.ops if counter is not None else 0
     r0, r1, rp, rm, den2 = _split_words(nums, den, n)
     if counter is not None:
         counter.ops += 2 << n
-    sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list)
-    sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list)
-    subp = _decode_core(rp, den2, n - 1, p, q, counter, max_list)
-    subm = _decode_core(rm, den2, n - 1, p, q, counter, max_list)
-    return _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                         counter, max_list)
+    sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
+    sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
+    if sub0 or sub1 or counter is not None:
+        subp = _decode_core(rp, den2, n - 1, p, q, counter, max_list, memo)
+        subm = _decode_core(rm, den2, n - 1, p, q, counter, max_list, memo)
+        out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
+                            counter, max_list)
+    else:
+        # no pair has a known half: the list is empty, and an uncounted
+        # decode need not build the transformed halves' lists
+        out = []
+    if n >= 2:
+        memo[nums, den] = (out, counter.ops - start if counter is not None
+                           else 0)
+    return out
 
 
 # Per pairing: which child lists pair up, the reconstruction signs for the
@@ -415,6 +459,34 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
     return list(out.items())
 
 
+def _decode_leaf(nums, den, n, p, q, max_list):
+    """`_decode_core` of a pool leaf, uncounted; a tripped cap is returned,
+    not raised, for `_fold_node` to raise only where `list_decode` would."""
+    try:
+        return _decode_core(nums, den, n, p, q, None, max_list)
+    except MaxListExceeded as exc:
+        return exc
+
+
+def _fold_node(nums, den, n, p, q, kids, max_list, pool, pool_size):
+    """A split node's list from its children's, or the MaxListExceeded
+    that `list_decode` would raise there.  As in `_decode_core`, the plain
+    halves come first and the transformed halves are skipped when both are
+    empty, so a cap tripped only in a skipped child does not fire."""
+    if not (kids[0] or kids[1]):
+        kids = kids[:2]
+    for kid in kids:
+        if isinstance(kid, MaxListExceeded):
+            return kid
+    if len(kids) == 2:
+        return []
+    try:
+        return _combine_core(nums, den, n, p, q, *kids, None, max_list,
+                             pool, pool_size)
+    except MaxListExceeded as exc:
+        return exc
+
+
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
@@ -437,7 +509,14 @@ def list_decode(
     max_list: Optional[int] = None,
     counter: Optional[CostCounter] = None,
 ) -> DecodeList:
-    """All members within relative squared distance eta of r, exactly."""
+    """All members within relative squared distance eta of r, exactly.
+
+    With a `counter`, the decode runs the literal recursion, all four child
+    calls at every node, and adds its ops to `counter.ops`; without one,
+    it skips the subtrees that cannot hold a member (see the module
+    docstring).  The list is the same either way; only a `max_list` cap
+    can tell them apart, as the counted decode builds lists the uncounted
+    one skips."""
     eta = _check_args(eta, max_list)
     nums, den = vector_to_scaled(r)
     pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
@@ -488,18 +567,23 @@ def list_decode_parallel(
             r0, r1, rp, rm, den2 = _split_words(words, wden, n - k)
             level += [(r0, wden), (r1, wden), (rp, den2), (rm, den2)]
         levels.append(level)
-    leaf_words, leaf_dens = zip(*levels[depth])
+    # each distinct leaf word is decoded once, and its list fills every
+    # slot that holds that word
+    leaves = list(dict.fromkeys(levels[depth]))
+    leaf_words, leaf_dens = zip(*leaves)
     # imported here: only a decode that splits loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        lists = list(pool.map(_decode_core, leaf_words, leaf_dens,
-                              repeat(n - depth), repeat(p), repeat(q),
-                              repeat(None), repeat(max_list)))
+        decoded = dict(zip(leaves, pool.map(
+            _decode_leaf, leaf_words, leaf_dens, repeat(n - depth),
+            repeat(p), repeat(q), repeat(max_list))))
+        lists = [decoded[leaf] for leaf in levels[depth]]
         for k in range(depth - 1, -1, -1):
             lists = [
-                _combine_core(words, wden, n - k, p, q,
-                              *lists[4 * i:4 * i + 4], None, max_list,
-                              pool, workers)
+                _fold_node(words, wden, n - k, p, q, lists[4 * i:4 * i + 4],
+                           max_list, pool, workers)
                 for i, (words, wden) in enumerate(levels[k])
             ]
+    if isinstance(lists[0], MaxListExceeded):
+        raise lists[0]
     return DecodeList(len(r), den, lists[0])

@@ -77,6 +77,14 @@ def test_decode_max_list_exit_code(capsys, monkeypatch) -> None:
     assert "exceeds cap" in err
 
 
+def test_decode_cap_ignores_a_skipped_subtree(capsys, monkeypatch) -> None:
+    # at 1/4 both halves decode empty, so the transformed halves' list of
+    # one member, which a cap of 0 would refuse, is never built
+    code, out, err = _run(["decode", "--eta", "1/4", "--max-list", "0"],
+                          capsys, stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
+    assert (code, out, err) == (EXIT_OK, "", "")
+
+
 def test_bad_eta_is_usage_error(capsys, monkeypatch) -> None:
     code, _, err = _run(["decode", "--eta", "0.5"], capsys,
                         stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from itertools import starmap
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -215,6 +216,18 @@ def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
     assert (exc.value.size, exc.value.limit) == (5210, 5000)
 
 
+def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
+    # at 1/4 both halves of the level-1 deep hole decode empty, so the
+    # uncounted decode skips the transformed halves, whose list (the
+    # member i, at distance 0) would trip a cap of 0; a counted decode
+    # runs the literal recursion, builds that list and raises
+    r = CVector([HALF_PHI] * 2)
+    assert len(list_decode(r, Fraction(1, 4), max_list=0)) == 0
+    with pytest.raises(MaxListExceeded) as exc:
+        list_decode(r, Fraction(1, 4), max_list=0, counter=CostCounter())
+    assert (exc.value.size, exc.value.limit) == (1, 0)
+
+
 def test_cost_counter_is_deterministic_and_positive() -> None:
     r = CVector([HALF_PHI] * 4)
     a, b = CostCounter(), CostCounter()
@@ -273,7 +286,7 @@ def test_every_fold_node_can_go_through_the_pool(monkeypatch) -> None:
 
 def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
     # a stand-in pool runs every task in-process, so no process starts; it
-    # records the pool size, the leaf words and the tasks of each sliced
+    # records the pool size, the leaf decodes and the tasks of each sliced
     # pair scan.  On a machine of 3 CPUs a million workers become 3, which
     # split one level deep (4**1 >= 3) into 4 leaf words
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -291,7 +304,7 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
 
         def map(self, fn, *iterables):
             calls = list(zip(*iterables))
-            if fn is decode._decode_core:
+            if fn is decode._decode_leaf:
                 leaves.append(len(calls))
             if fn is decode._scan_blocks:
                 scans.append([blocks for _, _, _, _, blocks, _ in calls])
@@ -303,7 +316,9 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
     assert (list_decode_parallel(r, eta, 10**6).to_lines()
             == list_decode(r, eta).to_lines())
     assert sizes == [3]
-    assert leaves == [4**1]
+    # the crafted word's two transformed halves are the same word, so its
+    # 4 leaf words hold 3 distinct ones, each decoded once
+    assert leaves == [3]
     # the level-5 root is sliced: at most two tasks per process, and every
     # task gets only non-empty outer slices
     assert scans
@@ -388,6 +403,72 @@ def _brute_force_combine(r: CVector, eta: Fraction):
     lines = [f"{format_vector(pt)}\t{dist}"
              for _, (pt, dist) in sorted(kept.items())]
     return lines, {key: len(pts) for key, pts in children.items()}
+
+
+# Without a cap, radii in [1/8, 1] capped per level so that a counted
+# decode stays under half a second; a cap of at most 8 stops any level
+# early, so with one every level takes radii up to 1.
+_UNCAPPED_RADIUS = {4: Fraction(7, 8), 5: Fraction(3, 4)}
+
+
+@st.composite
+def _differential_cases(draw):
+    n = draw(st.integers(0, 5))
+    size = 1 << n
+    word = draw(st.lists(_coords, min_size=size, max_size=size))
+    other = draw(st.lists(_coords, min_size=size, max_size=size))
+    cap = draw(st.none() | st.integers(0, 8))
+    top = _UNCAPPED_RADIUS.get(n, Fraction(1)) if cap is None else Fraction(1)
+    radii = st.fractions(Fraction(1, 8), top, max_denominator=8)
+    # the second word shares the first word's left half, so a memo kept
+    # from one decode to the next would be hit on that whole subtree
+    other = word[:size // 2] + other[size // 2:]
+    return CVector(word), CVector(other), draw(radii), draw(radii), cap
+
+
+def _lines_or_cap(decode_fn, *args, **kwargs):
+    """The decode's lines, or None where its cap fires."""
+    try:
+        return decode_fn(*args, **kwargs).to_lines()
+    except MaxListExceeded:
+        return None
+
+
+def _counted(r, eta, max_list):
+    counter = CostCounter()
+    lines = _lines_or_cap(list_decode, r, eta, max_list=max_list,
+                          counter=counter)
+    return lines, counter.ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(_differential_cases())
+@example((random_word(random.Random(18), 4), CVector([0] * 16),
+          Fraction(3, 8), Fraction(3, 8), 2))
+def test_fast_decode_matches_literal_decode(case) -> None:
+    # the counted decode runs the literal four-call recursion; the uncounted
+    # one takes the early exit, and both memoise repeated subproblems.  The
+    # example's word at 3/8 has lists over a cap of 2 only in subtrees the
+    # early exit skips, so the 2-worker fold must skip its leaves' caps too
+    r, other, eta, other_eta, cap = case
+    other_before = _counted(other, other_eta, cap)
+    literal, ops = _counted(r, eta, cap)
+    fast = _lines_or_cap(list_decode, r, eta, max_list=cap)
+    # the CPU count reads 2, so words of level >= 4 split on any machine
+    with mock.patch.object(os, "cpu_count", lambda: 2):
+        par = _lines_or_cap(list_decode_parallel, r, eta, 2, max_list=cap)
+    if literal is not None:
+        assert fast == literal
+    if fast is None:
+        assert literal is None
+    else:
+        # a cap that fires nowhere the fast decode looks leaves it exact
+        assert fast == list_decode(r, eta).to_lines()
+    assert par == fast
+    # a decode's memo starts empty: a counted decode after the uncounted
+    # one, and the other word decoded again, count and list as before
+    assert _counted(r, eta, cap) == (literal, ops)
+    assert _counted(other, other_eta, cap) == other_before
 
 
 @settings(max_examples=50, deadline=None)
