@@ -5,12 +5,14 @@ exact rational parts 'p' or 'p/q'; decode output is one line per list
 entry, 'vector<TAB>rsd', in canonical order (lexicographic by coordinate
 (re, im) pairs).  Exit codes: 0 success, 1 parse/validation failure (also
 a failed bounds check), 2 list cap exceeded, 3 internal invariant
-violation.
+violation.  A reader that closes the output pipe early, as `head` does,
+ends the run quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -219,7 +221,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.run(args)
+        code = args.run(args)
+        # a closed pipe shows up here rather than at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except MaxListExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MAX_LIST

@@ -72,16 +72,20 @@ grid grows, so a huge radius fails before the grid is built, and a
 combine's pair scan checks it as each survivor is stored.
 
 Every combine runs through one pair scan, `_scan_blocks`, which holds
-both the flat loop and the trie walk.  The parallel decoder shares the
-recursion rather than copying it: it clamps the worker count to the CPU
-count, splits the top d levels breadth first until there are at least
-that many words, decodes each distinct one of the 4**d deepest words on
-a pool of that many processes, and folds back up with the same
-`_combine_core`, which hands a large node's pair scan to the pool in
-stride slices, task k of m taking every m-th outer of every pairing, so
-a task builds each inner trie just once.  The fold takes the same early
-exit and raises a leaf's MaxListExceeded only where `list_decode` would,
-so a cap fires alike at every worker count.
+both the flat loop and the trie walk, and every decode through one
+recursion, `_decode_core`.  The parallel decoder clamps the worker count
+w to the CPU count and hands the root call a pool of w processes.  The
+root sends its two plain children to the pool as one round and its two
+transformed children as a second round only when a plain list is
+non-empty, decodes a word both siblings share once, and sends its pair
+scan, when it has enough candidate pairs, to the pool in 2w stride
+slices, task k of m taking every m-th outer of every pairing, so a task
+builds each inner trie just once.  Each child decodes sequentially in its
+own process.  A cap a child raises comes out of the pool in sibling
+order, where `list_decode` would raise it, so a cap fires alike at every
+worker count.  The trade-off: the child decodes run at most two at once
+at any w; only the sliced scan uses all w processes.  Machines wider than
+two CPUs are unmeasured.
 
 Set the BWLIST_VALIDATE environment variable to re-check every candidate
 that survives the distance scan against the lattice (slow; meant for the
@@ -215,14 +219,19 @@ def _split_words(nums, den, n):
     return r0, r1, tuple(rp), tuple(rm), den + den
 
 
-def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
+def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
+                 pool=None, pool_size=1):
     """Returns [(point, tot)]: tot is the exact scaled squared distance
     sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
 
     `memo` maps the (nums, den) of each node of level >= 2 decoded so far
     to its list and the ops its subtree counted; a call without one starts
     its own, so a memo never outlives the decode it belongs to.  The lists
-    it returns are shared and must not be mutated."""
+    it returns are shared and must not be mutated.
+
+    A `pool` of `pool_size` processes, given to an uncounted root call
+    only, decodes the root's children (see `_decode_siblings`) and its
+    large pair scan."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -257,13 +266,23 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
     r0, r1, rp, rm, den2 = _split_words(nums, den, n)
     if counter is not None:
         counter.ops += 2 << n
-    sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
-    sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
+    if pool is None:
+        sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
+        sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
+    else:
+        sub0, sub1 = _decode_siblings(pool, r0, r1, den, n - 1, p, q,
+                                      max_list)
     if sub0 or sub1 or counter is not None:
-        subp = _decode_core(rp, den2, n - 1, p, q, counter, max_list, memo)
-        subm = _decode_core(rm, den2, n - 1, p, q, counter, max_list, memo)
+        if pool is None:
+            subp = _decode_core(rp, den2, n - 1, p, q, counter, max_list,
+                                memo)
+            subm = _decode_core(rm, den2, n - 1, p, q, counter, max_list,
+                                memo)
+        else:
+            subp, subm = _decode_siblings(pool, rp, rm, den2, n - 1, p, q,
+                                          max_list)
         out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                            counter, max_list)
+                            counter, max_list, pool, pool_size)
     else:
         # no pair has a known half: the list is empty, and an uncounted
         # decode need not build the transformed halves' lists
@@ -272,6 +291,18 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
         memo[nums, den] = (out, counter.ops - start if counter is not None
                            else 0)
     return out
+
+
+def _decode_siblings(pool, a, b, den, n, p, q, max_list):
+    """The lists of sibling words a and b, decoded uncounted as one round
+    of pool tasks, one per distinct word.  pool.map yields in sibling
+    order, so a cap raised in either child comes out where the sequential
+    decode would raise it."""
+    words = list(dict.fromkeys((a, b)))
+    lists = dict(zip(words, pool.map(_decode_core, words, repeat(den),
+                                     repeat(n), repeat(p), repeat(q),
+                                     repeat(None), repeat(max_list))))
+    return lists[a], lists[b]
 
 
 # Per pairing: which child lists pair up, the reconstruction signs for the
@@ -452,39 +483,12 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
                              repeat(half), repeat(limit), filter(None, tasks),
                              repeat(max_list)):
             out.update(part)
+        # the size a sequential scan reports: it stops at that survivor
         if max_list is not None and len(out) > max_list:
-            raise MaxListExceeded(len(out), max_list)
+            raise MaxListExceeded(max_list + 1, max_list)
     if counter is not None:
         counter.ops += npairs * size
     return list(out.items())
-
-
-def _decode_leaf(nums, den, n, p, q, max_list):
-    """`_decode_core` of a pool leaf, uncounted; a tripped cap is returned,
-    not raised, for `_fold_node` to raise only where `list_decode` would."""
-    try:
-        return _decode_core(nums, den, n, p, q, None, max_list)
-    except MaxListExceeded as exc:
-        return exc
-
-
-def _fold_node(nums, den, n, p, q, kids, max_list, pool, pool_size):
-    """A split node's list from its children's, or the MaxListExceeded
-    that `list_decode` would raise there.  As in `_decode_core`, the plain
-    halves come first and the transformed halves are skipped when both are
-    empty, so a cap tripped only in a skipped child does not fire."""
-    if not (kids[0] or kids[1]):
-        kids = kids[:2]
-    for kid in kids:
-        if isinstance(kid, MaxListExceeded):
-            return kid
-    if len(kids) == 2:
-        return []
-    try:
-        return _combine_core(nums, den, n, p, q, *kids, None, max_list,
-                             pool, pool_size)
-    except MaxListExceeded as exc:
-        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -533,57 +537,26 @@ def list_decode_parallel(
 ) -> DecodeList:
     """Same output as `list_decode`, byte for byte, using a process pool.
 
-    `workers` is clamped to the CPU count, and that one number w sets the
-    pool size, the split depth and the stride count.  The top d levels of
-    the recursion are split breadth first (d is the smallest depth with
-    4**d >= w, capped so the deepest words stay at level >= 3); a pool of
-    w processes decodes the 4**d deepest words, and the sequential combine
-    folds each level above, sending a node's pair scan to the pool in 2w
-    stride slices when it has enough candidate pairs to pay for the
-    shipping.  With one worker or one CPU, or a word too small to split,
-    this is `list_decode`.
+    `workers` is clamped to the CPU count w, and the root of the recursion
+    runs on a pool of w processes: its plain children are decoded as one
+    round of pool tasks, its transformed children as a second round when a
+    plain list is non-empty, each distinct word once, and its pair scan,
+    when it has enough candidate pairs to pay for the shipping, as 2w
+    stride slices.  So at most two child decodes run at once at any w.
+    With one worker or one CPU, or a word below level 4, this is
+    `list_decode`.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    # the pool forks all its processes at once: no more than the machine
-    # has, and a split deeper than the pool only adds shipping
+    # the pool forks all its processes at once: no more than the machine has
     workers = min(workers, os.cpu_count() or 1)
-    n = r.n
-    depth = 0
-    while (1 << (2 * depth)) < workers:
-        depth += 1
-    depth = min(depth, n - 3)
-    if depth < 1:
+    if workers == 1 or r.n < 4:
         return list_decode(r, eta, max_list=max_list)
     eta = _check_args(eta, max_list)
     nums, den = vector_to_scaled(r)
-    p, q = eta.numerator, eta.denominator
-
-    # levels[k] holds the words at depth k; node i's children are 4i..4i+3
-    levels = [[(nums, den)]]
-    for k in range(depth):
-        level = []
-        for words, wden in levels[k]:
-            r0, r1, rp, rm, den2 = _split_words(words, wden, n - k)
-            level += [(r0, wden), (r1, wden), (rp, den2), (rm, den2)]
-        levels.append(level)
-    # each distinct leaf word is decoded once, and its list fills every
-    # slot that holds that word
-    leaves = list(dict.fromkeys(levels[depth]))
-    leaf_words, leaf_dens = zip(*leaves)
-    # imported here: only a decode that splits loads multiprocessing
+    # imported here: only a decode that uses the pool loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        decoded = dict(zip(leaves, pool.map(
-            _decode_leaf, leaf_words, leaf_dens, repeat(n - depth),
-            repeat(p), repeat(q), repeat(max_list))))
-        lists = [decoded[leaf] for leaf in levels[depth]]
-        for k in range(depth - 1, -1, -1):
-            lists = [
-                _fold_node(words, wden, n - k, p, q, lists[4 * i:4 * i + 4],
-                           max_list, pool, workers)
-                for i, (words, wden) in enumerate(levels[k])
-            ]
-    if isinstance(lists[0], MaxListExceeded):
-        raise lists[0]
-    return DecodeList(len(r), den, lists[0])
+        pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
+                           None, max_list, pool=pool, pool_size=workers)
+    return DecodeList(len(r), den, pts)

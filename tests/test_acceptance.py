@@ -231,8 +231,9 @@ def test_07_operation_count_scales_as_grid_squared() -> None:
 
 def test_08_worker_count_never_changes_output(monkeypatch) -> None:
     # workers are clamped to the CPU count, which reads 8 here, so on any
-    # machine 8 workers split the cells of level >= 5 two levels deep on a
-    # pool of 8 processes, not the same run as 2 workers
+    # machine 8 workers decode the cells of level >= 4 on a pool of 8
+    # processes, whose large root scans take 16 slices, not the same run as
+    # 2 workers
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     failures = []
     cells = 0

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import io
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from bwlist.arith import format_vector
 from bwlist.cli import EXIT_MAX_LIST, EXIT_OK, EXIT_USAGE, main
+from bwlist.rmcode import lower_bound_instance
 from srcenv import SRC_ENV
 
 DEEP_HOLE_2 = "1/2,1/2 1/2,1/2"
@@ -83,6 +87,22 @@ def test_decode_cap_ignores_a_skipped_subtree(capsys, monkeypatch) -> None:
     code, out, err = _run(["decode", "--eta", "1/4", "--max-list", "0"],
                           capsys, stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
     assert (code, out, err) == (EXIT_OK, "", "")
+
+
+def test_decode_cap_message_is_the_same_at_every_worker_count(
+        capsys, monkeypatch) -> None:
+    # the crafted word's top combine finds 5210 members; at 2 workers (the
+    # CPU count reads 2, so the pool is used on any machine) they are found
+    # in stride slices that each fit under the cap, and the union must
+    # report the size the sequential scan stops at
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    word = format_vector(lower_bound_instance(5, Fraction(1, 4)).received)
+    runs = [_run(["decode", "--eta", "3/4", "--max-list", "5000",
+                  "--workers", workers], capsys, stdin=word,
+                 monkeypatch=monkeypatch)
+            for workers in ("1", "2")]
+    assert runs[0] == runs[1] == (
+        EXIT_MAX_LIST, "", "error: list size 5001 exceeds cap 5000\n")
 
 
 def test_bad_eta_is_usage_error(capsys, monkeypatch) -> None:
@@ -171,10 +191,28 @@ def test_console_script_entry_point() -> None:
     assert proc.stdout == "1,0 1,0\n0,0 1,1\n"
 
 
+def test_closed_output_pipe_is_not_an_error() -> None:
+    # the reader's end is closed before the command starts.  Unbuffered,
+    # the first write fails; buffered (PYTHONUNBUFFERED empty), `gen 6`
+    # fails on a write and `gen 1` only when its output is flushed
+    for unbuffered, level in (("1", "1"), ("", "1"), ("", "6")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bwlist.cli", "gen", level],
+                env=dict(SRC_ENV, PYTHONUNBUFFERED=unbuffered),
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), (
+            unbuffered, level)
+
+
 def test_cli_import_leaves_mpmath_unloaded() -> None:
     # only bounds.lower_eps's non-dyadic branch needs mpmath, and only a
-    # decode that splits needs the process pool, so startup of every command
-    # skips their imports
+    # decode on more than one worker needs the process pool, so startup of
+    # every command skips their imports
     script = ("import sys, bwlist.cli\n"
               "for name in ('mpmath', 'concurrent.futures.process',"
               " 'multiprocessing'):\n"

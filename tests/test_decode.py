@@ -202,18 +202,18 @@ def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-4 lists (at most 1242)
     # fit under both caps, and the top combine's 5210 members are found in
     # stride slices across a pool of two (the CPU count reads 2, so a
-    # 1-CPU machine splits too), whose parts hold at most 2266.  Cap 2000
-    # fires inside a slice; under cap 5000 every part fits, and only the
-    # check on their union can fire.
+    # 1-CPU machine uses the pool too), whose parts hold at most 2266.  Cap
+    # 2000 fires inside a slice; under cap 5000 every part fits, and only
+    # the check on their union can fire.  Both report the size a
+    # sequential scan stops at, max_list + 1.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     with pytest.raises(MaxListExceeded) as exc:
         list_decode_parallel(r, Fraction(3, 4), 2, max_list=2000)
-    assert exc.value.limit == 2000
-    assert exc.value.size > 2000
+    assert (exc.value.size, exc.value.limit) == (2001, 2000)
     with pytest.raises(MaxListExceeded) as exc:
         list_decode_parallel(r, Fraction(3, 4), 2, max_list=5000)
-    assert (exc.value.size, exc.value.limit) == (5210, 5000)
+    assert (exc.value.size, exc.value.limit) == (5001, 5000)
 
 
 def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
@@ -250,13 +250,14 @@ def test_parallel_matches_sequential_small() -> None:
     assert seq.to_lines() == par.to_lines()
 
 
-def test_parallel_combine_and_depth_two_match_sequential(monkeypatch) -> None:
+def test_parallel_combine_matches_sequential_at_every_pool_size(
+        monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine examines
     # 161 460 pairs (over _PAR_COMBINE_MIN, so each pool task scans a stride
     # slice of the outers of all four pairings) and keeps 5210 members,
     # most of them found by two pairings.  Workers are clamped to the CPU
-    # count, which reads 8 here, so 8 workers split two levels deep on a
-    # pool of 8 processes on any machine
+    # count, which reads 8 here, so on any machine 2, 3 and 8 workers run
+    # pools of that many processes and scan in at most 4, 6 and 16 slices
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
@@ -266,11 +267,11 @@ def test_parallel_combine_and_depth_two_match_sequential(monkeypatch) -> None:
         assert list_decode_parallel(r, eta, workers).to_lines() == seq, workers
 
 
-def test_every_fold_node_can_go_through_the_pool(monkeypatch) -> None:
+def test_every_root_scan_can_go_through_the_pool(monkeypatch) -> None:
     # with no pair threshold the root's scan always runs in pool tasks: the
     # deep holes' inner lists hold one point, so a task takes the flat scan,
     # and the crafted word's one-point outer list leaves slices empty.  The
-    # CPU count reads 2, so 2 workers split on any machine
+    # CPU count reads 2, so 2 workers use the pool on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(decode, "_PAR_COMBINE_MIN", 0)
     rng = random.Random(8)
@@ -284,17 +285,16 @@ def test_every_fold_node_can_go_through_the_pool(monkeypatch) -> None:
                 == list_decode(r, eta).to_lines())
 
 
-def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
-    # a stand-in pool runs every task in-process, so no process starts; it
-    # records the pool size, the leaf decodes and the tasks of each sliced
-    # pair scan.  On a machine of 3 CPUs a million workers become 3, which
-    # split one level deep (4**1 >= 3) into 4 leaf words
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    sizes, leaves, scans = [], [], []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in pool that runs every task in-process, so no process
+    starts.  It records the pool sizes, the number of words in each round
+    of child decodes and the tasks of each sliced pair scan."""
+    record = {"sizes": [], "rounds": [], "scans": []}
 
     class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -304,28 +304,52 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch) -> None:
 
         def map(self, fn, *iterables):
             calls = list(zip(*iterables))
-            if fn is decode._decode_leaf:
-                leaves.append(len(calls))
+            if fn is decode._decode_core:
+                record["rounds"].append(len(calls))
             if fn is decode._scan_blocks:
-                scans.append([blocks for _, _, _, _, blocks, _ in calls])
+                record["scans"].append(
+                    [blocks for _, _, _, _, blocks, _ in calls])
             return starmap(fn, calls)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return record
+
+
+def test_pool_is_never_larger_than_the_machine(monkeypatch,
+                                               inline_pool) -> None:
+    # on a machine of 3 CPUs a million workers become a pool of 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
     assert (list_decode_parallel(r, eta, 10**6).to_lines()
             == list_decode(r, eta).to_lines())
-    assert sizes == [3]
-    # the crafted word's two transformed halves are the same word, so its
-    # 4 leaf words hold 3 distinct ones, each decoded once
-    assert leaves == [3]
+    assert inline_pool["sizes"] == [3]
+    # the root's two plain halves go as one round; the crafted word's two
+    # transformed halves are the same word, so the second round decodes it
+    # once
+    assert inline_pool["rounds"] == [2, 1]
     # the level-5 root is sliced: at most two tasks per process, and every
     # task gets only non-empty outer slices
+    scans = inline_pool["scans"]
     assert scans
     for tasks in scans:
-        assert 0 < len(tasks) <= 2 * sizes[0]
+        assert 0 < len(tasks) <= 2 * inline_pool["sizes"][0]
         assert all(task and all(outers for outers, _, _ in task)
                    for task in tasks)
+
+
+def test_pool_skips_the_transformed_round(monkeypatch, inline_pool) -> None:
+    # at 1/4 the level-4 deep hole's plain halves, which are the same word,
+    # decode empty, so the root sends no transformed round: the zero word
+    # among its transformed halves would trip a cap of 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    r = CVector([HALF_PHI] * 16)
+    eta = Fraction(1, 4)
+    par = list_decode_parallel(r, eta, 2, max_list=0)
+    assert len(par) == 0
+    assert par.to_lines() == list_decode(r, eta, max_list=0).to_lines()
+    assert inline_pool["rounds"] == [1]
+    assert inline_pool["scans"] == []
 
 
 def test_parallel_rejects_bad_worker_count() -> None:
@@ -449,12 +473,13 @@ def test_fast_decode_matches_literal_decode(case) -> None:
     # the counted decode runs the literal four-call recursion; the uncounted
     # one takes the early exit, and both memoise repeated subproblems.  The
     # example's word at 3/8 has lists over a cap of 2 only in subtrees the
-    # early exit skips, so the 2-worker fold must skip its leaves' caps too
+    # early exit skips, so the 2-worker decode must skip them too
     r, other, eta, other_eta, cap = case
     other_before = _counted(other, other_eta, cap)
     literal, ops = _counted(r, eta, cap)
     fast = _lines_or_cap(list_decode, r, eta, max_list=cap)
-    # the CPU count reads 2, so words of level >= 4 split on any machine
+    # the CPU count reads 2, so words of level >= 4 use the pool on any
+    # machine
     with mock.patch.object(os, "cpu_count", lambda: 2):
         par = _lines_or_cap(list_decode_parallel, r, eta, 2, max_list=cap)
     if literal is not None:
