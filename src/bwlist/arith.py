@@ -260,7 +260,7 @@ def rsd(x: CVector, y: CVector) -> Fraction:
 # ---------------------------------------------------------------------------
 
 # rational: optional minus, digits, optional /digits with positive denominator
-_RATIONAL_RE = _re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL_RE = _re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -62,7 +63,7 @@ def lower_eps(eps: RationalLike, n: int) -> int:
     Computes floor(2**((n - L)(L - 1))), L = log2(1/eps).  When 1/eps is a
     power of two this is pure integer arithmetic; otherwise L is
     transcendental, the exponent is provably never an integer, and the
-    floor is found by raising mpmath's working precision until it
+    floor is found by raising `decimal`'s working precision until it
     stabilizes.
     """
     eps = Fraction(eps)
@@ -74,17 +75,15 @@ def lower_eps(eps: RationalLike, n: int) -> int:
     if t is not None:
         e = (n - t) * (t - 1)
         return (1 << e) if e > 0 else 1
-    # imported here: only this branch needs it, and it slows CLI startup
-    from mpmath import mp
-
     prev = None
-    prec = 120
-    while prec <= 1_000_000:
-        with mp.workprec(prec):
-            inv = mp.mpf(eps.denominator) / mp.mpf(eps.numerator)
-            level = mp.log(inv) / mp.log(2)
-            value = mp.power(2, (n - level) * (level - 1))
-            cur = int(mp.floor(value))
+    prec = 36
+    while prec <= 300_000:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            ctx.Emax = MAX_EMAX
+            ln2 = Decimal(2).ln()
+            level = (Decimal(eps.denominator) / eps.numerator).ln() / ln2
+            cur = int(((n - level) * (level - 1) * ln2).exp())
         if cur == prev:
             return max(1, cur)
         prev = cur
@@ -156,6 +155,8 @@ def validate_bounds(n: int, trials: int = 10,
                     seed: int = 0) -> list[BoundReport]:
     """Decode a word battery per radius in DEFAULT_ETA_GRID and check the
     closed forms."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
     half = Fraction(1, 2)
     adversarial = CVector([QComplex(half, half)] * (1 << n))
     reports = []

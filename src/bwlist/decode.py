@@ -86,10 +86,6 @@ order, where `list_decode` would raise it, so a cap fires alike at every
 worker count.  The trade-off: the child decodes run at most two at once
 at any w; only the sliced scan uses all w processes.  Machines wider than
 two CPUs are unmeasured.
-
-Set the BWLIST_VALIDATE environment variable to re-check every candidate
-that survives the distance scan against the lattice (slow; meant for the
-test suite at small levels).
 """
 
 from __future__ import annotations
@@ -107,9 +103,7 @@ from bwlist.arith import (
     RationalLike,
     vector_to_scaled,
 )
-from bwlist.lattice import BWPoint, member_pairs
-
-_VALIDATE = os.environ.get("BWLIST_VALIDATE", "") not in ("", "0")
+from bwlist.lattice import BWPoint
 
 # hand a node's pair scan to the pool above this many candidate pairs
 _PAR_COMBINE_MIN = 50_000
@@ -440,10 +434,6 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
                                        else known_pt + body, tot)
                         if max_list is not None and len(out) > max_list:
                             raise MaxListExceeded(len(out), max_list)
-    if _VALIDATE:
-        for pt in out:
-            if not member_pairs(pt):
-                raise InvariantError(f"assembled non-member candidate {pt}")
     return out
 
 

@@ -154,7 +154,7 @@ def test_rational_text_round_trip() -> None:
     for text in ("0", "-3", "5/4", "-7/2"):
         assert str(parse_rational(text)) == text
     assert parse_rational("2/4") == Fraction(1, 2)
-    for bad in ("", "1.5", "1/0", "1 /2", "+3"):
+    for bad in ("", "1.5", "1/0", "1 /2", "+3", "\u0661", "1/\u0662"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

@@ -54,6 +54,8 @@ def test_negative_level_rejected_at_every_finite_bound() -> None:
                 Fraction(3, 4), Fraction(7, 8)):
         with pytest.raises(ValueError, match="level must be >= 0"):
             applicable_upper(eta, -1)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        validate_bounds(-1)
 
 
 def test_lower_eps_power_of_two() -> None:

@@ -209,13 +209,11 @@ def test_closed_output_pipe_is_not_an_error() -> None:
             unbuffered, level)
 
 
-def test_cli_import_leaves_mpmath_unloaded() -> None:
-    # only bounds.lower_eps's non-dyadic branch needs mpmath, and only a
-    # decode on more than one worker needs the process pool, so startup of
-    # every command skips their imports
+def test_cli_import_leaves_the_pool_unloaded() -> None:
+    # only a decode on more than one worker needs the process pool, so
+    # startup of every command skips its import
     script = ("import sys, bwlist.cli\n"
-              "for name in ('mpmath', 'concurrent.futures.process',"
-              " 'multiprocessing'):\n"
+              "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
               "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True)

@@ -3,8 +3,6 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from itertools import starmap
@@ -21,15 +19,13 @@ from bwlist.bounds import random_word
 from bwlist.decode import (
     _TRIE_MIN,
     CostCounter,
-    InvariantError,
     MaxListExceeded,
     list_decode,
     list_decode_parallel,
 )
-from bwlist.lattice import BWPoint, is_member, random_member
+from bwlist.lattice import BWPoint, is_member, member_pairs, random_member
 from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance
-from srcenv import SRC_ENV
 from symmetry import PAIRINGS, automorphism_t, combine_candidates, to_cvector
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
@@ -357,26 +353,6 @@ def test_parallel_rejects_bad_worker_count() -> None:
         list_decode_parallel(CVector([0, 0]), Fraction(1, 2), 0)
 
 
-def test_validation_mode_reproduces_output() -> None:
-    # BWLIST_VALIDATE re-checks every survivor's membership inside the scan
-    script = (
-        "from fractions import Fraction\n"
-        "from bwlist.arith import CVector, QComplex\n"
-        "from bwlist.decode import list_decode\n"
-        "h = QComplex(Fraction(1, 2), Fraction(1, 2))\n"
-        "r = CVector([h] * 8)\n"
-        "print('\\n'.join(list_decode(r, Fraction(1, 2)).to_lines()))\n"
-    )
-    runs = {}
-    for flag in ("0", "1"):
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(SRC_ENV, BWLIST_VALIDATE=flag),
-                              capture_output=True, text=True, check=True)
-        runs[flag] = proc.stdout
-    assert runs["0"] == runs["1"]
-    assert len(runs["1"].strip().splitlines()) == 32
-
-
 # Radii in [1/2, 1], capped per level so that the Fraction-based brute
 # force below stays at a few thousand candidate pairs per example.
 _RADIUS_CAP = {2: Fraction(1), 3: Fraction(3, 4), 4: Fraction(5, 8)}
@@ -517,21 +493,32 @@ def test_trie_join_matches_brute_force_on_the_crafted_word() -> None:
     assert list_decode(r, eta).to_lines() == lines
 
 
-def test_validation_rechecks_survivors_on_both_scan_paths(monkeypatch) -> None:
-    # a stand-in membership test that rejects every full-length point must
-    # trip the top combine, whether it scans flat (the deep hole, whose
-    # transformed child lists hold one member) or through the trie
-    monkeypatch.setattr(decode, "_VALIDATE", True)
-    for r, eta, via_trie in ((CVector([HALF_PHI] * 4), Fraction(1, 2), False),
-                             (random_word(random.Random(2), 2), Fraction(1),
-                              True)):
-        _, sizes = _brute_force_combine(r, eta)
-        assert (min(sizes["+"], sizes["-"]) >= _TRIE_MIN) == via_trie
-        size = len(r)
-        monkeypatch.setattr(decode, "member_pairs",
-                            lambda pt, size=size: len(pt) < size)
-        with pytest.raises(InvariantError):
-            list_decode(r, eta)
+def test_every_scan_survivor_is_a_member(monkeypatch, inline_pool) -> None:
+    # every point the pair scan assembles and keeps must be a lattice
+    # member, on each of its three routes: flat (the level-2 deep hole,
+    # whose transformed child lists hold one member), through a trie, and
+    # in the pool's stride slices
+    scan = decode._scan_blocks
+    survivors = {"flat": 0, "trie": 0}
+
+    def checked_scan(nums, den, half, limit, blocks, max_list):
+        out = scan(nums, den, half, limit, blocks, max_list)
+        assert all(member_pairs(pt) for pt in out)
+        trie = any(len(inners) >= _TRIE_MIN for _, inners, _ in blocks)
+        survivors["trie" if trie else "flat"] += len(out)
+        return out
+
+    monkeypatch.setattr(decode, "_scan_blocks", checked_scan)
+    assert len(list_decode(CVector([HALF_PHI] * 4), Fraction(1, 2))) == 16
+    assert survivors["flat"] > 0 and survivors["trie"] == 0
+    assert list_decode(random_word(random.Random(2), 2), Fraction(1))
+    assert survivors["trie"] > 0
+    before = sum(survivors.values())
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    assert list_decode_parallel(r, Fraction(3, 4), 2)
+    assert inline_pool["scans"]
+    assert sum(survivors.values()) > before
 
 
 def _text_and_ops_per_scan_path(r: CVector, eta: Fraction):

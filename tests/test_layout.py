@@ -3,13 +3,18 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # `from bwlist.x import a, _b` or the parenthesised form spread over lines
 _IMPORT_RE = re.compile(r"from bwlist\.[a-z]+ import (\([^)]*\)|.*)")
 _PRIVATE_RE = re.compile(r"\b_[A-Za-z]")
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_no_private_names_imported_across_modules() -> None:
@@ -50,4 +55,45 @@ def test_child_interpreters_get_the_src_environment() -> None:
                 for node in ast.walk(arg):
                     uses.pop(id(node), None)
         offenders += [f"{path.name}:{node.lineno}" for node in uses.values()]
+    assert not offenders, offenders
+
+
+def _package_trees():
+    for path in sorted(ROOT.glob("src/bwlist/*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_module_reads_the_environment() -> None:
+    # a decode depends on its call's arguments alone: nothing reads
+    # os.environ or os.getenv, whether through `os.` or a `from os` import
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES
+        or isinstance(node, ast.alias) and node.name in _ENV_NAMES
+    ]
+    assert not offenders, offenders
+
+
+def test_every_import_is_stdlib_or_declared() -> None:
+    # the package needs only the standard library and what pyproject.toml
+    # declares as a runtime dependency
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+                .replace("-", "_") for dep in project.get("dependencies", ())}
+    allowed = sys.stdlib_module_names | {"bwlist"} | declared
+    offenders = []
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}"
+                          for name in names
+                          if name.partition(".")[0] not in allowed]
     assert not offenders, offenders
