@@ -19,10 +19,10 @@ denominator.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Union
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -32,36 +32,47 @@ class NotDivisible(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian integers
+# Scalars: each is the tuple (re, im).  A GaussianInt with a GaussianInt or
+# an int gives a GaussianInt; a scalar with a QComplex or a Fraction, on
+# either side, gives a QComplex; any other operand is a TypeError.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianInt:
+class GaussianInt(NamedTuple):
     """Element a + b*i of Z[i]."""
 
     re: int = 0
     im: int = 0
 
-    def __add__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re + other.re, self.im + other.im)
+    def __add__(self, other: ScalarLike) -> ScalarLike:
+        if isinstance(other, int):
+            other = GaussianInt(other)
+        if isinstance(other, GaussianInt):
+            return GaussianInt(self.re + other.re, self.im + other.im)
+        return QComplex(*self) + other
 
-    def __sub__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re - other.re, self.im - other.im)
+    __radd__ = __add__
+
+    def __sub__(self, other: ScalarLike) -> ScalarLike:
+        return self + -other
+
+    def __rsub__(self, other: ScalarLike) -> ScalarLike:
+        return -self + other
 
     def __neg__(self) -> GaussianInt:
         return GaussianInt(-self.re, -self.im)
 
-    def __mul__(self, other: GaussianInt | int) -> GaussianInt:
+    def __mul__(self, other: ScalarLike) -> ScalarLike:
         if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+            other = GaussianInt(other)
+        if isinstance(other, GaussianInt):
+            return GaussianInt(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        return QComplex(*self) * other
 
-    def __rmul__(self, other: int) -> GaussianInt:
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
@@ -93,55 +104,46 @@ def phi_pow(k: int) -> GaussianInt:
     return z
 
 
-# ---------------------------------------------------------------------------
-# Rational complex scalars
-# ---------------------------------------------------------------------------
+class QComplex(tuple):
+    """Complex number with exact rational real and imaginary parts."""
 
+    __slots__ = ()
 
-class QComplex:
-    """Complex number with exact rational real and imaginary parts.
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> QComplex:
+        return tuple.__new__(cls, (Fraction(re), Fraction(im)))
 
-    Treat instances as immutable.  Multiplication accepts QComplex,
-    GaussianInt, Fraction and int on either side.
-    """
+    def __getnewargs__(self) -> tuple[Fraction, Fraction]:
+        # tuple's own passes the pair as one argument
+        return tuple(self)
 
-    __slots__ = ("re", "im")
+    re = property(itemgetter(0))
+    im = property(itemgetter(1))
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QComplex):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, GaussianInt):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __add__(self, other: QComplex) -> QComplex:
+    def __add__(self, other: ScalarLike) -> QComplex:
+        other = _as_qcomplex(other)
         return QComplex(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: QComplex) -> QComplex:
-        return QComplex(self.re - other.re, self.im - other.im)
+    __radd__ = __add__
+
+    def __sub__(self, other: ScalarLike) -> QComplex:
+        return self + -other
+
+    def __rsub__(self, other: ScalarLike) -> QComplex:
+        return -self + other
 
     def __neg__(self) -> QComplex:
         return QComplex(-self.re, -self.im)
 
-    def __mul__(self, other: QComplex | GaussianInt | RationalLike) -> QComplex:
-        if isinstance(other, (int, Fraction)):
-            return QComplex(self.re * other, self.im * other)
-        if not isinstance(other, (QComplex, GaussianInt)):
-            return NotImplemented
+    def __mul__(self, other: ScalarLike) -> QComplex:
+        if isinstance(other, CVector):
+            return NotImplemented  # the vector scales itself in __rmul__
+        other = _as_qcomplex(other)
         return QComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    def __rmul__(self, other: RationalLike) -> QComplex:
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -162,11 +164,15 @@ ScalarLike = Union[QComplex, GaussianInt, int, Fraction]
 
 
 def _as_qcomplex(value: ScalarLike) -> QComplex:
+    """A scalar as a QComplex; TypeError for any other value, so that no
+    operand falls through to tuple concatenation."""
     if isinstance(value, QComplex):
         return value
     if isinstance(value, GaussianInt):
-        return QComplex(value.re, value.im)
-    return QComplex(value)
+        return QComplex(*value)
+    if isinstance(value, (int, Fraction)):
+        return QComplex(value)
+    raise TypeError(f"not a scalar: {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,73 +187,61 @@ def level_of(size: int) -> int:
     return size.bit_length() - 1
 
 
-class CVector:
-    """Immutable vector of QComplex coordinates with power-of-two length."""
+class CVector(tuple):
+    """Immutable vector with power-of-two length: the tuple of its QComplex
+    coordinates."""
 
-    __slots__ = ("coords",)
+    __slots__ = ()
 
-    def __init__(self, coords: Iterable[ScalarLike]) -> None:
-        self.coords = tuple(_as_qcomplex(c) for c in coords)
-        level_of(len(self.coords))
+    def __new__(cls, coords: Iterable[ScalarLike]) -> CVector:
+        self = tuple.__new__(cls, map(_as_qcomplex, coords))
+        level_of(len(self))
+        return self
+
+    @property
+    def coords(self) -> tuple[QComplex, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
         """Level: log2 of the length."""
-        return len(self.coords).bit_length() - 1
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, j: int) -> QComplex:
-        return self.coords[j]
-
-    def __iter__(self) -> Iterator[QComplex]:
-        return iter(self.coords)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CVector):
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
+        return len(self).bit_length() - 1
 
     def _check_same_level(self, other: CVector) -> None:
-        if len(self.coords) != len(other.coords):
+        if len(self) != len(other):
             raise ValueError("vectors have different levels")
 
     def __add__(self, other: CVector) -> CVector:
         self._check_same_level(other)
-        return CVector(a + b for a, b in zip(self.coords, other.coords))
+        return CVector(a + b for a, b in zip(self, other))
 
     def __sub__(self, other: CVector) -> CVector:
         self._check_same_level(other)
-        return CVector(a - b for a, b in zip(self.coords, other.coords))
+        return CVector(a - b for a, b in zip(self, other))
 
     def __neg__(self) -> CVector:
-        return CVector(-a for a in self.coords)
+        return CVector(-a for a in self)
 
     def __mul__(self, scalar: ScalarLike) -> CVector:
         z = _as_qcomplex(scalar)
-        return CVector(a * z for a in self.coords)
+        return CVector(a * z for a in self)
 
-    def __rmul__(self, scalar: ScalarLike) -> CVector:
-        return self.__mul__(scalar)
+    __rmul__ = __mul__
 
     def halves(self) -> tuple[CVector, CVector]:
-        if len(self.coords) < 2:
+        if len(self) < 2:
             raise ValueError("level-0 vector has no halves")
-        mid = len(self.coords) // 2
-        return CVector(self.coords[:mid]), CVector(self.coords[mid:])
+        mid = len(self) // 2
+        return CVector(self[:mid]), CVector(self[mid:])
 
     def norm_sq(self) -> Fraction:
-        return sum((a.norm_sq() for a in self.coords), Fraction(0))
+        return sum((a.norm_sq() for a in self), Fraction(0))
 
     def to_gaussian(self) -> tuple[GaussianInt, ...]:
-        return tuple(a.to_gaussian() for a in self.coords)
+        return tuple(a.to_gaussian() for a in self)
 
     def __repr__(self) -> str:
-        return f"CVector([{', '.join(map(str, self.coords))}])"
+        return f"CVector([{', '.join(map(str, self))}])"
 
 
 def rsd(x: CVector, y: CVector) -> Fraction:
@@ -274,6 +268,15 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def parse_int(text: str) -> int:
+    """Parse 'p', an optional minus and ASCII digits, as `parse_rational`
+    reads a numerator; rejects anything else."""
+    text = text.strip()
+    if "/" in text or not _RATIONAL_RE.match(text):
+        raise ValueError(f"malformed integer: {text!r}")
+    return int(text)
 
 
 def parse_qcomplex(text: str) -> QComplex:

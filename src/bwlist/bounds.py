@@ -24,10 +24,9 @@ seeded random words — and checks measured list sizes against the formulas.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from bwlist.arith import CVector, QComplex, RationalLike
 from bwlist.decode import list_decode
@@ -120,8 +119,7 @@ def applicable_upper(eta: RationalLike, n: int) -> tuple[str, Optional[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One decoded word checked against the closed forms.
 
     `lower` is the crafted witness count for witness words and 0 otherwise
@@ -157,6 +155,8 @@ def validate_bounds(n: int, trials: int = 10,
     closed forms."""
     if n < 0:
         raise ValueError("level must be >= 0")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     half = Fraction(1, 2)
     adversarial = CVector([QComplex(half, half)] * (1 << n))
     reports = []

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Vectors are read as whitespace-separated coordinates, each 're,im' with
-exact rational parts 'p' or 'p/q'; decode output is one line per list
+exact rational parts 'p' or 'p/q', and every integer argument is 'p': an
+optional minus and ASCII digits.  Decode output is one line per list
 entry, 'vector<TAB>rsd', in canonical order (lexicographic by coordinate
 (re, im) pairs).  Exit codes: 0 success, 1 parse/validation failure (also
 a failed bounds check), 2 list cap exceeded, 3 internal invariant
@@ -16,9 +17,9 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
-from bwlist.arith import format_vector, parse_rational, parse_vector
+from bwlist.arith import format_vector, parse_int, parse_rational, parse_vector
 from bwlist.bounds import validate_bounds
-from bwlist.decode import InvariantError, MaxListExceeded, list_decode_parallel
+from bwlist.decode import MaxListExceeded, list_decode_parallel
 from bwlist.lattice import generator_matrix, is_member
 from bwlist.oracle import DEFAULT_CAP, oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance, rm_min_distance
@@ -158,56 +159,57 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decode", help="list-decode a received word")
     p.add_argument("--eta", type=parse_rational, required=True,
                    help="relative squared radius, e.g. 1/2")
-    p.add_argument("--n", type=int, help="expected level of the input vector")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-list", type=int, dest="max_list",
+    p.add_argument("--n", type=parse_int,
+                   help="expected level of the input vector")
+    p.add_argument("--workers", type=parse_int, default=1)
+    p.add_argument("--max-list", type=parse_int, dest="max_list",
                    help="abort (exit 2) if any list exceeds this size")
     add_io(p)
     p.set_defaults(run=_cmd_decode)
 
     p = sub.add_parser("oracle", help="decode by exhaustive enumeration")
     p.add_argument("--eta", type=parse_rational, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    p.add_argument("--n", type=parse_int)
+    p.add_argument("--cap", type=parse_int, default=DEFAULT_CAP,
                    help=f"refuse levels above this (default {DEFAULT_CAP})")
     add_io(p)
     p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("member", help="test lattice membership")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=parse_int)
     add_io(p)
     p.set_defaults(run=_cmd_member)
 
     p = sub.add_parser("gen", help="print the level-n generator matrix")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=parse_int)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("kissing", help="minimum squared norm and its count")
-    p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("n", type=parse_int)
+    p.add_argument("--cap", type=parse_int, default=DEFAULT_CAP)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_kissing)
 
     p = sub.add_parser("lower-bound",
                        help="crafted word with many equidistant members")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=parse_int)
     p.add_argument("eps", type=parse_rational)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_lower_bound)
 
     p = sub.add_parser("rm-mindist",
                        help="Reed-Muller minimum distance by enumeration")
-    p.add_argument("n", type=int, help="number of variables")
-    p.add_argument("degree", type=int)
+    p.add_argument("n", type=parse_int, help="number of variables")
+    p.add_argument("degree", type=parse_int)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_rm_mindist)
 
     p = sub.add_parser("bounds", help="validate list-size bounds empirically"
                        " (exit 1 if any check fails)")
-    p.add_argument("n", type=int)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("n", type=parse_int)
+    p.add_argument("--trials", type=parse_int, default=10)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_bounds)
 
@@ -233,7 +235,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MaxListExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MAX_LIST
-    except (InvariantError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:

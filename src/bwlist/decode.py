@@ -91,11 +91,10 @@ two CPUs are unmeasured.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from bwlist.arith import (
     CVector,
@@ -125,10 +124,6 @@ class MaxListExceeded(RuntimeError):
         return (MaxListExceeded, (self.size, self.limit))
 
 
-class InvariantError(RuntimeError):
-    """An internal structural guarantee failed; indicates a bug."""
-
-
 class CostCounter:
     """Accumulates the counted arithmetic operations of one decode call."""
 
@@ -138,8 +133,7 @@ class CostCounter:
         self.ops = 0
 
 
-@dataclass(frozen=True)
-class DecodeEntry:
+class DecodeEntry(NamedTuple):
     point: BWPoint
     distance: Fraction
 

@@ -14,8 +14,7 @@ quotients a_S = m_S / phi^|S| exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from bwlist.arith import (
     CVector,
@@ -47,7 +46,7 @@ def _as_pairs(x: PointLike) -> list[GPair]:
     Raises ValueError on a length that is not a power of two, then
     NotDivisible on a non-integer coordinate.
     """
-    coords = x.coords if isinstance(x, (BWPoint, CVector)) else tuple(x)
+    coords = tuple(x)
     level_of(len(coords))
     out = []
     for z in coords:
@@ -97,15 +96,14 @@ def is_member(x: PointLike) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BWPoint:
-    """A lattice member with Gaussian-integer coordinates.
+class BWPoint(tuple):
+    """A lattice member: the tuple of its Gaussian-integer coordinates.
 
     Build with `BWPoint.of` (validates membership) or `BWPoint.unchecked`
     (trusted construction, e.g. points assembled by the recursion itself).
     """
 
-    coords: tuple[GaussianInt, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, coords: PointLike) -> BWPoint:
@@ -115,28 +113,29 @@ class BWPoint:
             raise NotAMember(str(exc)) from exc
         if not member_pairs(pairs):
             raise NotAMember("vector fails the recursive halving test")
-        return cls(tuple(GaussianInt(a, b) for a, b in pairs))
+        return cls(GaussianInt(a, b) for a, b in pairs)
 
     @classmethod
     def unchecked(cls, coords: Iterable[GaussianInt]) -> BWPoint:
-        return cls(tuple(coords))
+        return cls(coords)
+
+    @property
+    def coords(self) -> tuple[GaussianInt, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.coords).bit_length() - 1
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self) -> Iterator[GaussianInt]:
-        return iter(self.coords)
+        return len(self).bit_length() - 1
 
     def key(self) -> tuple[tuple[int, int], ...]:
         """Canonical sort key: lexicographic by (re, im) pairs."""
-        return tuple((z.re, z.im) for z in self.coords)
+        return tuple((z.re, z.im) for z in self)
 
     def __str__(self) -> str:
-        return format_vector(self.coords)
+        return format_vector(self)
+
+    def __repr__(self) -> str:
+        return f"BWPoint(coords={tuple(self)!r})"
 
 
 # ---------------------------------------------------------------------------

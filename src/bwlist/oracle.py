@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 
 from bwlist.arith import CVector, RationalLike, vector_to_scaled
-from bwlist.decode import DecodeList, InvariantError
+from bwlist.decode import DecodeList
 from bwlist.lattice import member_pairs
 
 DEFAULT_CAP = 4
@@ -100,7 +100,7 @@ def oracle_list(
     entries = _enumerate_scaled(nums, den, r.n, eta.numerator, eta.denominator)
     for pt, _ in entries:
         if not member_pairs(pt):
-            raise InvariantError(f"oracle emitted non-member {pt}")
+            raise AssertionError(f"oracle emitted non-member {pt}")
     return DecodeList(len(r), den, entries)
 
 
@@ -125,6 +125,6 @@ def shortest_vectors(
         if tot:
             norms.setdefault(tot, []).append((pt, tot))
     if not norms:
-        raise InvariantError("no nonzero member found at relative distance 1")
+        raise AssertionError("no nonzero member found at relative distance 1")
     min_norm = min(norms)
     return min_norm, DecodeList(size, 1, norms[min_norm])

@@ -24,13 +24,12 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from bwlist.arith import CVector, GaussianInt, level_of, phi_pow
-from bwlist.decode import DecodeList, InvariantError
+from bwlist.decode import DecodeList
 from bwlist.lattice import BWPoint, NotAMember, PointLike, member_pairs
 
 Bits = tuple[int, ...]
@@ -96,8 +95,7 @@ def rm_min_distance(degree: int, nvars: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Linear subspace of {0,1}^ambient; basis rows are bitmasks in
     reduced row echelon form with pivots at the high bits, descending."""
 
@@ -226,8 +224,7 @@ def bw_to_rm_layers(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerBoundInstance:
+class LowerBoundInstance(NamedTuple):
     """A received word whose decode list at radius 1 - eps is provably big.
 
     The word is phi^k at coordinate 0 (k the smallest exponent with
@@ -256,7 +253,7 @@ def lower_bound_instance(n: int, eps: Fraction | int) -> LowerBoundInstance:
     received = CVector([scale] + [zero] * (size - 1))
     dist_num = size - (1 << k)
     if Fraction(dist_num, size) > 1 - eps:
-        raise InvariantError("witness distance exceeds the claimed radius")
+        raise AssertionError("witness distance exceeds the claimed radius")
 
     # scaled entries over den = 1: each tot is the squared distance itself
     on = (scale.re, scale.im)
@@ -265,11 +262,11 @@ def lower_bound_instance(n: int, eps: Fraction | int) -> LowerBoundInstance:
     for space in enumerate_subspaces(n, n - k):
         pairs = tuple(on if b else (0, 0) for b in subspace_char_vector(space))
         if not member_pairs(pairs):
-            raise InvariantError(f"witness {pairs} is not a member")
+            raise AssertionError(f"witness {pairs} is not a member")
         got = sum((x - a) ** 2 + (y - b) ** 2
                   for (x, y), (a, b) in zip(pairs, received_pairs))
         if got != dist_num:
-            raise InvariantError(
+            raise AssertionError(
                 f"witness at squared distance {got}, expected {dist_num}"
             )
         entries.append((pairs, dist_num))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -31,6 +34,24 @@ def test_gaussian_int_ring_ops() -> None:
     assert a * b == GaussianInt(-2, 11)
     assert 3 * a == GaussianInt(6, -3)
     assert a.norm_sq() == 5
+    # with an int the result stays in Z[i]; with a rational it leaves it
+    for got, want in ((a + 1, GaussianInt(3, -1)), (1 - a, GaussianInt(-1, 1)),
+                      (a * 2, GaussianInt(4, -2))):
+        assert type(got) is GaussianInt and got == want
+    g, half = GaussianInt(1, 1), Fraction(1, 2)
+    for got, want in ((g * QComplex(half), QComplex(half, half)),
+                      (QComplex(half) * g, QComplex(half, half)),
+                      (g + QComplex(half), QComplex(Fraction(3, 2), 1)),
+                      (QComplex(half) - g, QComplex(-half, -1)),
+                      (g * half, QComplex(half, half)),
+                      (half * g, QComplex(half, half)),
+                      (half - g, QComplex(-half, -1))):
+        assert type(got) is QComplex and got == want
+    # anything else is refused, a plain tuple too: it must not concatenate
+    for bad in ((1, 2), 1.5, "1", None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(g, bad)
 
 
 def test_phi_basics() -> None:
@@ -63,6 +84,17 @@ def test_qcomplex_exact_ops() -> None:
     assert z * w == QComplex(Fraction(7, 4), Fraction(-1))
     assert Fraction(1, 3) * z == QComplex(Fraction(1, 6), Fraction(-1, 4))
     assert z.norm_sq() == Fraction(1, 4) + Fraction(9, 16)
+    # every scalar operand, on either side, gives a QComplex
+    for got, want in ((z + 1, QComplex(Fraction(3, 2), Fraction(-3, 4))),
+                      (1 - z, QComplex(Fraction(1, 2), Fraction(3, 4))),
+                      (z * GaussianInt(2, 1), QComplex(Fraction(7, 4), -1)),
+                      (GaussianInt(2, 1) - z,
+                       QComplex(Fraction(3, 2), Fraction(7, 4)))):
+        assert type(got) is QComplex and got == want
+    for bad in ((1, 2), 1.5, "1", None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(z, bad)
 
 
 def test_qcomplex_div_phi_always_exact() -> None:
@@ -163,6 +195,14 @@ def test_qcomplex_text_round_trip() -> None:
     assert parse_qcomplex("3/2,-1") == QComplex(Fraction(3, 2), -1)
     assert str(QComplex(Fraction(3, 2), -1)) == "3/2,-1"
     assert str(GaussianInt(0, 2)) == "0,2"
+    # each scalar is the tuple of its parts: it pickles and copies as its
+    # own type, and equal scalars hash alike, across types too
+    for z in (QComplex(Fraction(3, 2), -1), GaussianInt(0, 2)):
+        for back in (pickle.loads(pickle.dumps(z)), copy.deepcopy(z)):
+            assert type(back) is type(z) and back == z
+    assert GaussianInt(0, 2) == QComplex(0, 2) == (0, 2)
+    assert hash(GaussianInt(0, 2)) == hash(QComplex(0, 2)) == hash((0, 2))
+    assert len(GaussianInt(0, 2)) == 2
     assert parse_qcomplex("1, 2") == QComplex(1, 2)  # spacing inside a pair is tolerated
     for bad in ("1", "1,2,3", "a,b", "1,"):
         with pytest.raises(ValueError):
@@ -174,6 +214,12 @@ def test_vector_text_round_trip() -> None:
     v = parse_vector(text)
     assert v == CVector([QComplex(1, 0), QComplex(Fraction(1, 2), Fraction(-3, 4))])
     assert format_vector(v) == text
+    for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert type(back) is CVector and back == v
+        assert hash(back) == hash(v)
+    # .coords is a plain tuple, so two of them concatenate
+    assert type(v.coords) is tuple
+    assert v.coords + v.coords == tuple(v) * 2
     assert parse_vector("  1,0\t0,1  ") == CVector([1, QComplex(0, 1)])
     with pytest.raises(ValueError):
         parse_vector("1,0 0,1 1,1")  # length 3

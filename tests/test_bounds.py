@@ -56,6 +56,8 @@ def test_negative_level_rejected_at_every_finite_bound() -> None:
             applicable_upper(eta, -1)
     with pytest.raises(ValueError, match="level must be >= 0"):
         validate_bounds(-1)
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        validate_bounds(1, trials=-1)
 
 
 def test_lower_eps_power_of_two() -> None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from bwlist.arith import format_vector
-from bwlist.cli import EXIT_MAX_LIST, EXIT_OK, EXIT_USAGE, main
+from bwlist.cli import EXIT_INTERNAL, EXIT_MAX_LIST, EXIT_OK, EXIT_USAGE, main
 from bwlist.rmcode import lower_bound_instance
 from srcenv import SRC_ENV
 
@@ -110,6 +110,13 @@ def test_bad_eta_is_usage_error(capsys, monkeypatch) -> None:
                         stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
     assert err != ""
+    # integer flags take an optional minus and ASCII digits, as rationals do
+    for flag, value in (("--workers", " 1_0 "), ("--workers", "\u0662"),
+                        ("--n", "+1"), ("--max-list", "1_000")):
+        code, out, err = _run(["decode", "--eta", "1/2", flag, value], capsys,
+                              stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
+        assert (code, out) == (EXIT_USAGE, ""), (flag, value)
+        assert "invalid parse_int value" in err
 
 
 def test_negative_max_list_is_usage_error(capsys, monkeypatch) -> None:
@@ -158,6 +165,16 @@ def test_kissing_respects_cap(capsys) -> None:
     code, _, err = _run(["kissing", "3", "--cap", "2"], capsys)
     assert code == EXIT_USAGE
     assert err != ""
+    for argv in (["kissing", "\u0662"], ["kissing", "1", "--cap", "4_0"],
+                 ["gen", " +1"], ["rm-mindist", "3", "\uff11"],
+                 ["bounds", "1", "--trials", "+2"]):
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert "invalid parse_int value" in err
+    # a negative trial count is refused, not read as no random words
+    code, out, err = _run(["bounds", "1", "--trials", "-1"], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: trials must be >= 0\n")
 
 
 def test_lower_bound_output(capsys) -> None:
@@ -182,6 +199,15 @@ def test_bounds_reports_and_exit(capsys) -> None:
     assert lines[0] == "n\teta\tword\tmeasured\tlower\tupper\tformula\tok"
     assert len(lines) > 1
     assert all(line.endswith("\ttrue") for line in lines[1:])
+
+
+def test_failed_self_check_is_an_internal_error(capsys, monkeypatch) -> None:
+    # the oracle re-checks every point it emits; a failed check exits 3
+    monkeypatch.setattr("bwlist.oracle.member_pairs", lambda pairs: False)
+    code, out, err = _run(["oracle", "--eta", "1/2"], capsys,
+                          stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal error: oracle emitted non-member")
 
 
 def test_console_script_entry_point() -> None:
@@ -211,9 +237,11 @@ def test_closed_output_pipe_is_not_an_error() -> None:
 
 def test_cli_import_leaves_the_pool_unloaded() -> None:
     # only a decode on more than one worker needs the process pool, so
-    # startup of every command skips its import
+    # startup of every command skips its import; and every value type is a
+    # tuple, so nothing loads dataclasses either
     script = ("import sys, bwlist.cli\n"
-              "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
+              "for name in ('concurrent.futures.process', 'multiprocessing',\n"
+              "             'dataclasses'):\n"
               "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -195,4 +197,15 @@ def test_multilinear_interpolate_rejects_non_members() -> None:
 
 
 def test_point_text_format() -> None:
-    assert str(BWPoint.of([ONE, I])) == "1,0 0,1"
+    p = BWPoint.of([ONE, I])
+    assert str(p) == "1,0 0,1"
+    assert repr(p) == ("BWPoint(coords=(GaussianInt(re=1, im=0), "
+                       "GaussianInt(re=0, im=1)))")
+    for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert type(back) is BWPoint and back == p
+    # a point is the tuple of its coordinates: it equals, and hashes like,
+    # the vector with the same coordinates
+    v = CVector([1, QComplex(0, 1)])
+    assert p == v and hash(p) == hash(v)
+    assert type(p.coords) is tuple
+    assert p.coords + p.coords == (ONE, I, ONE, I)
