@@ -8,7 +8,7 @@ from bwlist.arith import (
     rsd,
 )
 from bwlist.decode import DecodeEntry, DecodeList, MaxListExceeded, list_decode
-from bwlist.lattice import BWPoint, NotAMember, generator_matrix, is_member
+from bwlist.lattice import BWPoint, generator_matrix, is_member
 
 __all__ = [
     "BWPoint",
@@ -17,7 +17,6 @@ __all__ = [
     "DecodeList",
     "GaussianInt",
     "MaxListExceeded",
-    "NotAMember",
     "NotDivisible",
     "QComplex",
     "generator_matrix",

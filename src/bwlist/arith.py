@@ -3,8 +3,8 @@
 Everything here is exact: real and imaginary parts are ints or
 `fractions.Fraction`, never floats.  The distinguished element
 phi = 1 + i (with |phi|^2 = 2) drives all the halving/doubling structure
-in the rest of the package, so Gaussian integers get dedicated methods
-for multiplication and exact division by phi.
+in the rest of the package, so Gaussian integers get a dedicated method
+for multiplication by phi.
 
 Vectors (`CVector`) always have power-of-two length 2**n; n is called the
 level.  The squared-distance measure used throughout is the *relative*
@@ -28,7 +28,8 @@ RationalLike = Union[int, Fraction]
 
 
 class NotDivisible(ValueError):
-    """Raised when an exact division by phi (or 2) leaves a remainder."""
+    """Raised when an exact division leaves a remainder, as when a QComplex
+    with non-integer parts is read as a Gaussian integer."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +82,8 @@ class GaussianInt(NamedTuple):
         """Multiply by phi = 1 + i."""
         return GaussianInt(self.re - self.im, self.re + self.im)
 
-    def div_phi(self) -> GaussianInt:
-        """Exact division by phi; defined iff re + im is even."""
-        if (self.re + self.im) % 2:
-            raise NotDivisible(f"{self} is not divisible by 1+i")
-        return GaussianInt((self.re + self.im) // 2, (self.im - self.re) // 2)
-
     def __str__(self) -> str:
         return f"{self.re},{self.im}"
-
-
-PHI = GaussianInt(1, 1)
 
 
 def phi_pow(k: int) -> GaussianInt:
@@ -199,10 +191,6 @@ class CVector(tuple):
         return self
 
     @property
-    def coords(self) -> tuple[QComplex, ...]:
-        return tuple(self)
-
-    @property
     def n(self) -> int:
         """Level: log2 of the length."""
         return len(self).bit_length() - 1
@@ -214,6 +202,9 @@ class CVector(tuple):
     def __add__(self, other: CVector) -> CVector:
         self._check_same_level(other)
         return CVector(a + b for a, b in zip(self, other))
+
+    # a plain tuple on the left would otherwise concatenate
+    __radd__ = __add__
 
     def __sub__(self, other: CVector) -> CVector:
         self._check_same_level(other)
@@ -236,9 +227,6 @@ class CVector(tuple):
 
     def norm_sq(self) -> Fraction:
         return sum((a.norm_sq() for a in self), Fraction(0))
-
-    def to_gaussian(self) -> tuple[GaussianInt, ...]:
-        return tuple(a.to_gaussian() for a in self)
 
     def __repr__(self) -> str:
         return f"CVector([{', '.join(map(str, self))}])"

@@ -24,7 +24,6 @@ seeded random words — and checks measured list sizes against the formulas.
 from __future__ import annotations
 
 import random
-from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -46,48 +45,6 @@ DEFAULT_ETA_GRID = (
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
-
-
-def _pow2_exponent(v: Fraction) -> Optional[int]:
-    """t with v = 2**t exactly, else None."""
-    num, den = v.numerator, v.denominator
-    if num & (num - 1) or den & (den - 1):
-        return None
-    return (num.bit_length() - 1) - (den.bit_length() - 1)
-
-
-def lower_eps(eps: RationalLike, n: int) -> int:
-    """Worst-case list-size lower bound at radius 1 - eps, clamped to >= 1.
-
-    Computes floor(2**((n - L)(L - 1))), L = log2(1/eps).  When 1/eps is a
-    power of two this is pure integer arithmetic; otherwise L is
-    transcendental, the exponent is provably never an integer, and the
-    floor is found by raising `decimal`'s working precision until it
-    stabilizes.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    t = _pow2_exponent(1 / eps)
-    if t is not None:
-        e = (n - t) * (t - 1)
-        return (1 << e) if e > 0 else 1
-    prev = None
-    prec = 36
-    while prec <= 300_000:
-        with localcontext() as ctx:
-            ctx.prec = prec
-            ctx.Emax = MAX_EMAX
-            ln2 = Decimal(2).ln()
-            level = (Decimal(eps.denominator) / eps.numerator).ln() / ln2
-            cur = int(((n - level) * (level - 1) * ln2).exp())
-        if cur == prev:
-            return max(1, cur)
-        prev = cur
-        prec *= 2
-    raise ArithmeticError("lower_eps failed to stabilize")  # pragma: no cover
 
 
 def applicable_upper(eta: RationalLike, n: int) -> tuple[str, Optional[int]]:

@@ -34,6 +34,17 @@ class _ArgError(Exception):
     pass
 
 
+def _arg_type(parse):
+    """`parse` as an argparse type: a rejected value is reported with the
+    parser's own message, not argparse's generic one."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _ArgError(message)
@@ -151,65 +162,66 @@ def build_parser() -> _Parser:
         description="Exact list decoding of Barnes-Wall lattices over Z[i].",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    integer, rational = _arg_type(parse_int), _arg_type(parse_rational)
 
     def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", help="vector file ('-' for stdin, default)")
         p.add_argument("--output", help="output file ('-' for stdout, default)")
 
     p = sub.add_parser("decode", help="list-decode a received word")
-    p.add_argument("--eta", type=parse_rational, required=True,
+    p.add_argument("--eta", type=rational, required=True,
                    help="relative squared radius, e.g. 1/2")
-    p.add_argument("--n", type=parse_int,
+    p.add_argument("--n", type=integer,
                    help="expected level of the input vector")
-    p.add_argument("--workers", type=parse_int, default=1)
-    p.add_argument("--max-list", type=parse_int, dest="max_list",
+    p.add_argument("--workers", type=integer, default=1)
+    p.add_argument("--max-list", type=integer, dest="max_list",
                    help="abort (exit 2) if any list exceeds this size")
     add_io(p)
     p.set_defaults(run=_cmd_decode)
 
     p = sub.add_parser("oracle", help="decode by exhaustive enumeration")
-    p.add_argument("--eta", type=parse_rational, required=True)
-    p.add_argument("--n", type=parse_int)
-    p.add_argument("--cap", type=parse_int, default=DEFAULT_CAP,
+    p.add_argument("--eta", type=rational, required=True)
+    p.add_argument("--n", type=integer)
+    p.add_argument("--cap", type=integer, default=DEFAULT_CAP,
                    help=f"refuse levels above this (default {DEFAULT_CAP})")
     add_io(p)
     p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("member", help="test lattice membership")
-    p.add_argument("--n", type=parse_int)
+    p.add_argument("--n", type=integer)
     add_io(p)
     p.set_defaults(run=_cmd_member)
 
     p = sub.add_parser("gen", help="print the level-n generator matrix")
-    p.add_argument("n", type=parse_int)
+    p.add_argument("n", type=integer)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("kissing", help="minimum squared norm and its count")
-    p.add_argument("n", type=parse_int)
-    p.add_argument("--cap", type=parse_int, default=DEFAULT_CAP)
+    p.add_argument("n", type=integer)
+    p.add_argument("--cap", type=integer, default=DEFAULT_CAP)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_kissing)
 
     p = sub.add_parser("lower-bound",
                        help="crafted word with many equidistant members")
-    p.add_argument("n", type=parse_int)
-    p.add_argument("eps", type=parse_rational)
+    p.add_argument("n", type=integer)
+    p.add_argument("eps", type=rational)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_lower_bound)
 
     p = sub.add_parser("rm-mindist",
                        help="Reed-Muller minimum distance by enumeration")
-    p.add_argument("n", type=parse_int, help="number of variables")
-    p.add_argument("degree", type=parse_int)
+    p.add_argument("n", type=integer, help="number of variables")
+    p.add_argument("degree", type=integer)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_rm_mindist)
 
     p = sub.add_parser("bounds", help="validate list-size bounds empirically"
                        " (exit 1 if any check fails)")
-    p.add_argument("n", type=parse_int)
-    p.add_argument("--trials", type=parse_int, default=10)
-    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("n", type=integer)
+    p.add_argument("--trials", type=integer, default=10)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_bounds)
 

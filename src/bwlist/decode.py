@@ -164,7 +164,7 @@ class DecodeList:
         if self._entries is None:
             scale = self._scale
             self._entries = tuple(
-                DecodeEntry(BWPoint.unchecked(GaussianInt(x, y) for x, y in pt),
+                DecodeEntry(BWPoint(GaussianInt(x, y) for x, y in pt),
                             Fraction(tot, scale))
                 for pt, tot in self._scaled
             )

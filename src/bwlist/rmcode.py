@@ -1,25 +1,13 @@
-"""Reed-Muller codes and their bridge to the lattice.
+"""Reed-Muller codes, binary subspaces and crafted received words.
 
 Binary words of length 2**n are boolean functions on {0,1}^n (coordinate j
 is the value at the point with bit pattern j).  RM(d, n) is the set of
 such functions of algebraic degree <= d; `algebraic_normal_form` is the
 XOR Moebius transform that exposes the degree.
 
-The bridge: peeling a vector digit by digit in base phi reads off, at
-layer d, the coordinatewise parity word (re + im) mod 2, and each peel
-step divides exactly by phi.  For n <= 5, a vector is a lattice member
-iff every layer word lands in RM(d, n) (embedded 0 -> 0, 1 -> 1) with a
-Gaussian-integer residual, so the peel doubles as a membership test.
-From n = 6 on that correspondence breaks in both directions: a member's
-layer word can exceed degree d, and a vector whose layer words all pass
-can still sit outside the lattice.  The cause is the 0/1 embedding of
-layer sums -- subtracting it produces carries two layers up (2 is a unit
-times phi^2) whose parity words have doubled degree.  Both bridge
-functions therefore verify membership explicitly instead of trusting
-the degree checks.  `lower_bound_instance` builds received words with
-provably many equidistant members: scaled indicator functions of linear
-subspaces (counted by Gaussian binomials), which peel cleanly at every
-level.
+`lower_bound_instance` builds received words with provably many
+equidistant lattice members: scaled indicator functions of linear
+subspaces.
 """
 
 from __future__ import annotations
@@ -30,21 +18,16 @@ from typing import Iterator, NamedTuple, Sequence
 
 from bwlist.arith import CVector, GaussianInt, level_of, phi_pow
 from bwlist.decode import DecodeList
-from bwlist.lattice import BWPoint, NotAMember, PointLike, member_pairs
+from bwlist.lattice import member_pairs
 
 Bits = tuple[int, ...]
 
 
-def _as_bits(word: Sequence[int]) -> Bits:
+def algebraic_normal_form(word: Sequence[int]) -> Bits:
+    """Monomial coefficients: coeff[S] = XOR of bits over subsets of S."""
     bits = tuple(word)
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
-    return bits
-
-
-def algebraic_normal_form(word: Sequence[int]) -> Bits:
-    """Monomial coefficients: coeff[S] = XOR of bits over subsets of S."""
-    bits = _as_bits(word)
     n = level_of(len(bits))
     coeffs = list(bits)
     for b in range(n):
@@ -53,14 +36,6 @@ def algebraic_normal_form(word: Sequence[int]) -> Bits:
             if j & bit:
                 coeffs[j] ^= coeffs[j ^ bit]
     return tuple(coeffs)
-
-
-def rm_is_codeword(word: Sequence[int], degree: int) -> bool:
-    """True iff the word has algebraic degree <= degree."""
-    coeffs = algebraic_normal_form(word)
-    return all(
-        c == 0 for s, c in enumerate(coeffs) if s.bit_count() > degree
-    )
 
 
 def rm_enumerate(degree: int, nvars: int) -> Iterator[Bits]:
@@ -109,17 +84,6 @@ class Subspace(NamedTuple):
         return span
 
 
-def gaussian_binomial(n: int, k: int) -> int:
-    """Number of k-dimensional linear subspaces of {0,1}^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (k - i)) - 1
-    return num // den
-
-
 def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of {0,1}^n, one RREF basis each."""
     if k < 0 or k > n:
@@ -144,79 +108,6 @@ def subspace_char_vector(space: Subspace) -> Bits:
     for v in space.points():
         bits[v] = 1
     return tuple(bits)
-
-
-# ---------------------------------------------------------------------------
-# Layered view of the lattice
-# ---------------------------------------------------------------------------
-
-
-def bw_from_rm_layers(
-    layers: Sequence[Sequence[int]],
-    residual: Sequence[GaussianInt] | None = None,
-) -> BWPoint:
-    """Assemble sum_d phi^d * layer_d + phi^n * residual as a lattice point.
-
-    Every layer must pass its degree-d check.  For n <= 5 the sum is then
-    always a member; for n >= 6 some degree-valid layer stacks are not,
-    and `BWPoint.of` rejects those with NotAMember rather than returning
-    a vector outside the lattice.
-    """
-    n = len(layers)
-    size = 1 << n
-    all_bits = []
-    for d, layer in enumerate(layers):
-        bits = _as_bits(layer)
-        if len(bits) != size:
-            raise ValueError(f"layer {d} has length {len(bits)}, expected {size}")
-        if not rm_is_codeword(bits, d):
-            raise ValueError(f"layer {d} fails the degree-{d} check")
-        all_bits.append(bits)
-    if residual is None:
-        residual = (GaussianInt(0, 0),) * size
-    elif len(residual) != size:
-        raise ValueError("residual length does not match layer length")
-    top = phi_pow(n)
-    coords = []
-    for j in range(size):
-        z = top * residual[j]
-        for d in range(n):
-            if all_bits[d][j]:
-                z = z + phi_pow(d)
-        coords.append(z)
-    return BWPoint.of(coords)
-
-
-def bw_to_rm_layers(
-    x: PointLike,
-) -> tuple[tuple[Bits, ...], tuple[GaussianInt, ...]]:
-    """Peel a member into its RM layers and Gaussian residual.
-
-    Inverts `bw_from_rm_layers` exactly when it succeeds.  Raises
-    NotAMember if the vector is not a lattice member.  For a genuine
-    member the peel can still fail for n >= 6: carries from the 0/1
-    layer embedding may push a parity word past its degree-d bound, in
-    which case no layered form exists and ValueError is raised.  For
-    n <= 5 members always peel cleanly.
-    """
-    work = list(BWPoint.of(x).key())
-    n = len(work).bit_length() - 1
-    layers = []
-    for d in range(n):
-        bits = tuple((a + b) & 1 for a, b in work)
-        if not rm_is_codeword(bits, d):
-            raise ValueError(
-                f"member has no layered form: layer {d} parity word has degree > {d}"
-            )
-        # subtract the layer and divide by phi; exact by parity choice
-        nxt = []
-        for (a, b), bit in zip(work, bits):
-            a -= bit
-            nxt.append(((a + b) // 2, (b - a) // 2))
-        work = nxt
-        layers.append(bits)
-    residual = tuple(GaussianInt(a, b) for a, b in work)
-    return tuple(layers), residual
 
 
 # ---------------------------------------------------------------------------

@@ -24,19 +24,19 @@ PAIRINGS = ("0+", "0-", "1+", "1-")
 
 def to_cvector(point: BWPoint) -> CVector:
     """A lattice point as an exact complex vector."""
-    return CVector(point.coords)
+    return CVector(point)
 
 
 def norm_sq(point: BWPoint) -> int:
     """Squared Euclidean norm of a lattice point."""
-    return sum(z.norm_sq() for z in point.coords)
+    return sum(z.norm_sq() for z in point)
 
 
 def join(left: CVector, right: CVector) -> CVector:
     """[left, right] as one vector; the halves must have equal length."""
     if len(left) != len(right):
         raise ValueError("halves must have equal length")
-    return CVector(left.coords + right.coords)
+    return CVector(tuple(left) + tuple(right))
 
 
 def mul_phi(x: QComplex | CVector) -> QComplex | CVector:

