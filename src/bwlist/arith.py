@@ -75,9 +75,6 @@ class GaussianInt(NamedTuple):
 
     __rmul__ = __mul__
 
-    def norm_sq(self) -> int:
-        return self.re * self.re + self.im * self.im
-
     def mul_phi(self) -> GaussianInt:
         """Multiply by phi = 1 + i."""
         return GaussianInt(self.re - self.im, self.re + self.im)

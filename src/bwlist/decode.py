@@ -74,18 +74,22 @@ combine's pair scan checks it as each survivor is stored.
 Every combine runs through one pair scan, `_scan_blocks`, which holds
 both the flat loop and the trie walk, and every decode through one
 recursion, `_decode_core`.  The parallel decoder clamps the worker count
-w to the CPU count and hands the root call a pool of w processes.  The
-root sends its two plain children to the pool as one round and its two
-transformed children as a second round only when a plain list is
-non-empty, decodes a word both siblings share once, and sends its pair
-scan, when it has enough candidate pairs, to the pool in 2w stride
-slices, task k of m taking every m-th outer of every pairing, so a task
-builds each inner trie just once.  Each child decodes sequentially in its
-own process.  A cap a child raises comes out of the pool in sibling
-order, where `list_decode` would raise it, so a cap fires alike at every
-worker count.  The trade-off: the child decodes run at most two at once
-at any w; only the sliced scan uses all w processes.  Machines wider than
-two CPUs are unmeasured.
+w to the CPU count and hands the root call a pool of w processes that
+starts only when it is first sent work.  The root decodes r0 in-process.
+A non-empty r0 list means every other child is needed, so r1, r_plus and
+r_minus go to the pool as one round, each distinct word once and a word
+r0 already decoded not at all.  An empty r0 list leaves r1 in-process
+too; then an empty r1 list ends the root with the empty list and no
+process started, and a non-empty one sends r_plus and r_minus as one
+round.  The root's pair scan, when it has enough candidate pairs, goes
+to the pool in 2w stride slices, task k of m taking every m-th outer of
+every pairing, so a task builds each inner trie just once.  Each child
+decodes sequentially in its own process.  The root decodes exactly the
+children the sequential decode does, in its order, and pool.map yields
+in that order, so a cap fires alike at every worker count.  The
+trade-off: the child decodes run at most three at once at any w, and
+the root's r0 runs before any of them; only the sliced scan uses all w
+processes.  Machines wider than two CPUs are unmeasured.
 """
 
 from __future__ import annotations
@@ -208,7 +212,7 @@ def _split_words(nums, den, n):
 
 
 def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
-                 pool=None, pool_size=1):
+                 pool=None):
     """Returns [(point, tot)]: tot is the exact scaled squared distance
     sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
 
@@ -217,9 +221,9 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     its own, so a memo never outlives the decode it belongs to.  The lists
     it returns are shared and must not be mutated.
 
-    A `pool` of `pool_size` processes, given to an uncounted root call
-    only, decodes the root's children (see `_decode_siblings`) and its
-    large pair scan."""
+    A `pool` (a `_LazyPool`), given to an uncounted root call only, takes
+    the root's large pair scan and, as one round (`_decode_round`), the
+    children after r0 that the decode needs; see the module docstring."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -254,43 +258,72 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     r0, r1, rp, rm, den2 = _split_words(nums, den, n)
     if counter is not None:
         counter.ops += 2 << n
-    if pool is None:
-        sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
-        sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
+    sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
+    if pool is not None and sub0:
+        # r0's list needs every other child: they go as one pool round
+        sub1, subp, subm = _decode_round(
+            pool, ((r1, den), (rp, den2), (rm, den2)), n - 1, p, q,
+            max_list, memo)
     else:
-        sub0, sub1 = _decode_siblings(pool, r0, r1, den, n - 1, p, q,
-                                      max_list)
-    if sub0 or sub1 or counter is not None:
-        if pool is None:
+        sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
+        # with empty r0 and r1 lists no pair has a known half: the list is
+        # empty, and an uncounted decode need not build the transformed
+        # halves' lists
+        subp = subm = []
+        if pool is not None and sub1:
+            subp, subm = _decode_round(pool, ((rp, den2), (rm, den2)),
+                                       n - 1, p, q, max_list, memo)
+        elif sub0 or sub1 or counter is not None:
             subp = _decode_core(rp, den2, n - 1, p, q, counter, max_list,
                                 memo)
             subm = _decode_core(rm, den2, n - 1, p, q, counter, max_list,
                                 memo)
-        else:
-            subp, subm = _decode_siblings(pool, rp, rm, den2, n - 1, p, q,
-                                          max_list)
-        out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                            counter, max_list, pool, pool_size)
-    else:
-        # no pair has a known half: the list is empty, and an uncounted
-        # decode need not build the transformed halves' lists
-        out = []
+    out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
+                        counter, max_list, pool)
     if n >= 2:
         memo[nums, den] = (out, counter.ops - start if counter is not None
                            else 0)
     return out
 
 
-def _decode_siblings(pool, a, b, den, n, p, q, max_list):
-    """The lists of sibling words a and b, decoded uncounted as one round
-    of pool tasks, one per distinct word.  pool.map yields in sibling
-    order, so a cap raised in either child comes out where the sequential
-    decode would raise it."""
-    words = list(dict.fromkeys((a, b)))
-    lists = dict(zip(words, pool.map(_decode_core, words, repeat(den),
-                                     repeat(n), repeat(p), repeat(q),
-                                     repeat(None), repeat(max_list))))
-    return lists[a], lists[b]
+def _decode_round(pool, words, n, p, q, max_list, memo):
+    """The lists of `words`, (nums, den) pairs of level n, in order.  The
+    distinct words not in the memo are decoded uncounted as one round of
+    pool tasks; pool.map yields in order, so a cap raised in any of them
+    comes out where the sequential decode would raise it."""
+    todo = [key for key in dict.fromkeys(words) if key not in memo]
+    if todo:
+        nums, dens = zip(*todo)
+        lists = pool.map(_decode_core, nums, dens, repeat(n), repeat(p),
+                         repeat(q), repeat(None), repeat(max_list))
+        for key, sub in zip(todo, lists):
+            memo[key] = (sub, 0)
+    return [memo[key][0] for key in words]
+
+
+class _LazyPool:
+    """A pool of `size` processes that starts at its first `map`, so a
+    decode that sends no task imports no concurrent.futures and starts no
+    process.  Leaving the `with` block shuts down what was started, on
+    every exit."""
+
+    def __init__(self, size):
+        self.size = size
+        self._executor = None
+
+    def map(self, fn, *iterables):
+        if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(max_workers=self.size)
+        return self._executor.map(fn, *iterables)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown()
+        return False
 
 
 # Per pairing: which child lists pair up, the reconstruction signs for the
@@ -432,7 +465,7 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
 
 
 def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                  counter, max_list, pool=None, pool_size=1):
+                  counter, max_list, pool=None):
     size = 1 << n
     npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
     if npairs == 0:
@@ -458,7 +491,7 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
         # and builds each inner trie once; it checks the cap on its own part,
         # as a part over the cap puts the union over it.  A point that two
         # tasks find has the same exact tot in both.
-        m = 2 * pool_size
+        m = 2 * pool.size
         tasks = [[(outers[k::m], inners, spec)
                   for outers, inners, spec in blocks if len(outers) > k]
                  for k in range(m)]
@@ -522,11 +555,15 @@ def list_decode_parallel(
     """Same output as `list_decode`, byte for byte, using a process pool.
 
     `workers` is clamped to the CPU count w, and the root of the recursion
-    runs on a pool of w processes: its plain children are decoded as one
-    round of pool tasks, its transformed children as a second round when a
-    plain list is non-empty, each distinct word once, and its pair scan,
-    when it has enough candidate pairs to pay for the shipping, as 2w
-    stride slices.  So at most two child decodes run at once at any w.
+    may use a pool of w processes.  The root decodes r0 in-process; when
+    its list is non-empty, the distinct words among r1, r_plus and r_minus
+    that r0 did not already decode go to the pool as one round.  When it
+    is empty, r1 is decoded in-process too, and only a non-empty r1 list
+    sends r_plus and r_minus as one round.  The root's pair scan, when it
+    has enough candidate pairs to pay for the shipping, goes to the pool as
+    2w stride slices.  The pool starts at the first round or scan it is
+    sent, so a word whose plain halves both decode empty starts no
+    process, and it is shut down on every exit, a raised cap included.
     With one worker or one CPU, or a word below level 4, this is
     `list_decode`.
     """
@@ -538,9 +575,7 @@ def list_decode_parallel(
         return list_decode(r, eta, max_list=max_list)
     eta = _check_args(eta, max_list)
     nums, den = vector_to_scaled(r)
-    # imported here: only a decode that uses the pool loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _LazyPool(workers) as pool:
         pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
-                           None, max_list, pool=pool, pool_size=workers)
+                           None, max_list, pool=pool)
     return DecodeList(len(r), den, pts)

@@ -95,10 +95,6 @@ class BWPoint(tuple):
 
     __slots__ = ()
 
-    @property
-    def n(self) -> int:
-        return len(self).bit_length() - 1
-
     def __str__(self) -> str:
         return format_vector(self)
 

@@ -54,6 +54,11 @@ from bwlist.rmcode import Bits, algebraic_normal_form
 PHI = GaussianInt(1, 1)
 
 
+def gaussian_norm_sq(z: GaussianInt) -> int:
+    """|z|^2 of a Gaussian integer."""
+    return z.re * z.re + z.im * z.im
+
+
 class NotAMember(ValueError):
     """Raised when a vector claimed to be in the lattice is not."""
 

@@ -18,6 +18,7 @@ from typing import Sequence
 from bwlist.arith import CVector, GaussianInt, QComplex, rsd
 from bwlist.decode import _PAIRING_SPECS
 from bwlist.lattice import BWPoint
+from reference import gaussian_norm_sq
 
 PAIRINGS = ("0+", "0-", "1+", "1-")
 
@@ -29,7 +30,7 @@ def to_cvector(point: BWPoint) -> CVector:
 
 def norm_sq(point: BWPoint) -> int:
     """Squared Euclidean norm of a lattice point."""
-    return sum(z.norm_sq() for z in point)
+    return sum(gaussian_norm_sq(z) for z in point)
 
 
 def join(left: CVector, right: CVector) -> CVector:

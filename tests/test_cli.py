@@ -6,8 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import pytest
-
 from bwlist.arith import format_vector
 from bwlist.cli import EXIT_INTERNAL, EXIT_MAX_LIST, EXIT_OK, EXIT_USAGE, main
 from bwlist.rmcode import lower_bound_instance

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import starmap
@@ -27,6 +30,7 @@ from bwlist.lattice import BWPoint, is_member, member_pairs
 from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance
 from reference import PHI, random_member
+from srcenv import SRC_ENV
 from symmetry import PAIRINGS, automorphism_t, combine_candidates, to_cvector
 
 HALF_PHI = QComplex(Fraction(1, 2), Fraction(1, 2))
@@ -212,6 +216,8 @@ def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
     with pytest.raises(MaxListExceeded) as exc:
         list_decode_parallel(r, Fraction(3, 4), 2, max_list=5000)
     assert (exc.value.size, exc.value.limit) == (5001, 5000)
+    # the pool is shut down on the way out of a raised cap
+    assert multiprocessing.active_children() == []
 
 
 def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
@@ -286,19 +292,17 @@ def test_every_root_scan_can_go_through_the_pool(monkeypatch) -> None:
 @pytest.fixture
 def inline_pool(monkeypatch):
     """A stand-in pool that runs every task in-process, so no process
-    starts.  It records the pool sizes, the number of words in each round
-    of child decodes and the tasks of each sliced pair scan."""
+    starts.  It records the size of each pool the decode opens, the number
+    of words in each round of child decodes and the tasks of each sliced
+    pair scan."""
     record = {"sizes": [], "rounds": [], "scans": []}
 
     class InlinePool:
         def __init__(self, max_workers):
             record["sizes"].append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            pass
 
         def map(self, fn, *iterables):
             calls = list(zip(*iterables))
@@ -322,10 +326,10 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch,
     assert (list_decode_parallel(r, eta, 10**6).to_lines()
             == list_decode(r, eta).to_lines())
     assert inline_pool["sizes"] == [3]
-    # the root's two plain halves go as one round; the crafted word's two
-    # transformed halves are the same word, so the second round decodes it
-    # once
-    assert inline_pool["rounds"] == [2, 1]
+    # r0's list is non-empty, so r1 and the transformed halves go as one
+    # round; the crafted word's two transformed halves are the same word,
+    # so the round decodes it once
+    assert inline_pool["rounds"] == [2]
     # the level-5 root is sliced: at most two tasks per process, and every
     # task gets only non-empty outer slices
     scans = inline_pool["scans"]
@@ -338,16 +342,36 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch,
 
 def test_pool_skips_the_transformed_round(monkeypatch, inline_pool) -> None:
     # at 1/4 the level-4 deep hole's plain halves, which are the same word,
-    # decode empty, so the root sends no transformed round: the zero word
-    # among its transformed halves would trip a cap of 0
+    # decode empty in-process, so the root sends no round and opens no
+    # pool: the zero word among its transformed halves would trip a cap of 0
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = CVector([HALF_PHI] * 16)
     eta = Fraction(1, 4)
     par = list_decode_parallel(r, eta, 2, max_list=0)
     assert len(par) == 0
     assert par.to_lines() == list_decode(r, eta, max_list=0).to_lines()
-    assert inline_pool["rounds"] == [1]
+    assert inline_pool["sizes"] == []
+    assert inline_pool["rounds"] == []
     assert inline_pool["scans"] == []
+
+
+def test_pool_free_decode_loads_no_pool() -> None:
+    # a decode whose plain halves both decode empty sends no task, so it
+    # imports neither the pool nor multiprocessing; the CPU count reads 2,
+    # so 2 workers would use the pool on any machine
+    script = ("import os, sys\n"
+              "from fractions import Fraction\n"
+              "from bwlist.arith import CVector, QComplex\n"
+              "from bwlist.decode import list_decode_parallel\n"
+              "os.cpu_count = lambda: 2\n"
+              "half_phi = QComplex(Fraction(1, 2), Fraction(1, 2))\n"
+              "r = CVector([half_phi] * 16)\n"
+              "assert len(list_decode_parallel(r, Fraction(1, 4), 2)) == 0\n"
+              "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
+              "    assert name not in sys.modules, name\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_parallel_rejects_bad_worker_count() -> None:
@@ -430,11 +454,11 @@ def _differential_cases(draw):
 
 
 def _lines_or_cap(decode_fn, *args, **kwargs):
-    """The decode's lines, or None where its cap fires."""
+    """The decode's lines, or the (size, limit) of the cap that fires."""
     try:
         return decode_fn(*args, **kwargs).to_lines()
-    except MaxListExceeded:
-        return None
+    except MaxListExceeded as exc:
+        return exc.size, exc.limit
 
 
 def _counted(r, eta, max_list):
@@ -448,11 +472,15 @@ def _counted(r, eta, max_list):
 @given(_differential_cases())
 @example((random_word(random.Random(18), 4), CVector([0] * 16),
           Fraction(3, 8), Fraction(3, 8), 2))
+@example((random_word(random.Random(0), 4), CVector([0] * 16),
+          Fraction(5, 8), Fraction(5, 8), 22))
 def test_fast_decode_matches_literal_decode(case) -> None:
     # the counted decode runs the literal four-call recursion; the uncounted
     # one takes the early exit, and both memoise repeated subproblems.  The
-    # example's word at 3/8 has lists over a cap of 2 only in subtrees the
-    # early exit skips, so the 2-worker decode must skip them too
+    # first example's word at 3/8 has lists over a cap of 2 only in
+    # subtrees the early exit skips, so the 2-worker decode must skip them
+    # too.  In the second, r0's list of 22 fits a cap of 22 and r_plus's 27
+    # do not, so the 2-worker decode's cap fires in its pool round
     r, other, eta, other_eta, cap = case
     other_before = _counted(other, other_eta, cap)
     literal, ops = _counted(r, eta, cap)
@@ -461,10 +489,10 @@ def test_fast_decode_matches_literal_decode(case) -> None:
     # machine
     with mock.patch.object(os, "cpu_count", lambda: 2):
         par = _lines_or_cap(list_decode_parallel, r, eta, 2, max_list=cap)
-    if literal is not None:
+    if isinstance(literal, list):
         assert fast == literal
-    if fast is None:
-        assert literal is None
+    if isinstance(fast, tuple):
+        assert isinstance(literal, tuple)
     else:
         # a cap that fires nowhere the fast decode looks leaves it exact
         assert fast == list_decode(r, eta).to_lines()

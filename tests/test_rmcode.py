@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from bwlist.arith import CVector, GaussianInt, phi_pow, rsd
+from bwlist.arith import GaussianInt, phi_pow, rsd
 from bwlist.lattice import is_member
 from bwlist.rmcode import (
     LowerBoundInstance,
