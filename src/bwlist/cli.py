@@ -19,7 +19,7 @@ from typing import Optional, Sequence, TextIO
 
 from bwlist.arith import format_vector, parse_int, parse_rational, parse_vector
 from bwlist.bounds import validate_bounds
-from bwlist.decode import MaxListExceeded, list_decode_parallel
+from bwlist.decode import MaxListExceeded, list_decode
 from bwlist.lattice import generator_matrix, is_member
 from bwlist.oracle import DEFAULT_CAP, oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance, rm_min_distance
@@ -87,7 +87,7 @@ def _emit(args: argparse.Namespace, lines: Sequence[str]) -> None:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     vec = _read_vector(args)
-    result = list_decode_parallel(
+    result = list_decode(
         vec, args.eta, args.workers, max_list=args.max_list
     )
     _emit(args, result.to_lines())

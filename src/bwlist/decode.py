@@ -73,22 +73,23 @@ combine's pair scan checks it as each survivor is stored.
 
 Every combine runs through one pair scan, `_scan_blocks`, which holds
 both the flat loop and the trie walk, and every decode through one
-recursion, `_decode_core`.  The parallel decoder clamps the worker count
-w to the CPU count and hands the root call a pool of w processes that
-starts only when it is first sent work.  The root decodes r0 in-process.
-A non-empty r0 list means every other child is needed, so r1, r_plus and
-r_minus go to the pool as one round, each distinct word once and a word
-r0 already decoded not at all.  An empty r0 list leaves r1 in-process
-too; then an empty r1 list ends the root with the empty list and no
-process started, and a non-empty one sends r_plus and r_minus as one
-round.  The root's pair scan, when it has enough candidate pairs, goes
-to the pool in 2w stride slices, task k of m taking every m-th outer of
-every pairing, so a task builds each inner trie just once.  Each child
-decodes sequentially in its own process.  The root decodes exactly the
-children the sequential decode does, in its order, and pool.map yields
-in that order, so a cap fires alike at every worker count.  The
-trade-off: the child decodes run at most three at once at any w, and
-the root's r0 runs before any of them; only the sliced scan uses all w
+recursion, `_decode_core`, with one child schedule: r0 first; then, when
+r0's list is non-empty, r1, r_plus and r_minus as one round
+(`_decode_round`); otherwise r1 alone, and r_plus and r_minus as one
+round only when r1's list is non-empty or the decode is counted.  A round
+decodes its words in order, in-process, unless it is given a pool.
+
+`list_decode` clamps the worker count w to the CPU count, and an
+uncounted decode of level >= 4 with w > 1 hands its root a pool of w
+processes that starts only when it is first sent work.  The root's
+rounds go to the pool, each distinct word once and a word already
+decoded not at all, and each child decodes sequentially in its own
+process; pool.map yields in order, so a cap fires alike at every worker
+count.  The root's pair scan, when it has enough candidate pairs, goes to
+the pool in 2w stride slices, task k of m taking every m-th outer of
+every pairing, so a task builds each inner trie just once.  The
+trade-off: the child decodes run at most three at once at any w, and the
+root's r0 runs before any of them; only the sliced scan uses all w
 processes.  Machines wider than two CPUs are unmeasured.
 """
 
@@ -119,13 +120,13 @@ _TRIE_MIN = 8
 class MaxListExceeded(RuntimeError):
     """A decode list grew past the configured cap."""
 
-    def __init__(self, size: int, limit: int) -> None:
-        super().__init__(f"list size {size} exceeds cap {limit}")
-        self.size = size
+    def __init__(self, limit: int) -> None:
+        # every cap check raises at the list's (limit + 1)-th entry
+        super().__init__(f"list size {limit + 1} exceeds cap {limit}")
         self.limit = limit
 
     def __reduce__(self):
-        return (MaxListExceeded, (self.size, self.limit))
+        return (MaxListExceeded, (self.limit,))
 
 
 class CostCounter:
@@ -222,8 +223,7 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     it returns are shared and must not be mutated.
 
     A `pool` (a `_LazyPool`), given to an uncounted root call only, takes
-    the root's large pair scan and, as one round (`_decode_round`), the
-    children after r0 that the decode needs; see the module docstring."""
+    the root's rounds and its large pair scan; see the module docstring."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -241,7 +241,7 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
                     out.append((((x, y),), tot))
                     # the cap fires before the rest of the grid is built
                     if max_list is not None and len(out) > max_list:
-                        raise MaxListExceeded(len(out), max_list)
+                        raise MaxListExceeded(max_list)
         if counter is not None:
             counter.ops += (xhi - xlo + 1) * (yhi - ylo + 1)
         return out
@@ -259,25 +259,20 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     if counter is not None:
         counter.ops += 2 << n
     sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
-    if pool is not None and sub0:
-        # r0's list needs every other child: they go as one pool round
+    if sub0:
+        # r0's list needs every other child
         sub1, subp, subm = _decode_round(
-            pool, ((r1, den), (rp, den2), (rm, den2)), n - 1, p, q,
-            max_list, memo)
+            ((r1, den), (rp, den2), (rm, den2)), n - 1, p, q, counter,
+            max_list, memo, pool)
     else:
         sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
         # with empty r0 and r1 lists no pair has a known half: the list is
         # empty, and an uncounted decode need not build the transformed
         # halves' lists
         subp = subm = []
-        if pool is not None and sub1:
-            subp, subm = _decode_round(pool, ((rp, den2), (rm, den2)),
-                                       n - 1, p, q, max_list, memo)
-        elif sub0 or sub1 or counter is not None:
-            subp = _decode_core(rp, den2, n - 1, p, q, counter, max_list,
-                                memo)
-            subm = _decode_core(rm, den2, n - 1, p, q, counter, max_list,
-                                memo)
+        if sub1 or counter is not None:
+            subp, subm = _decode_round(((rp, den2), (rm, den2)), n - 1, p,
+                                       q, counter, max_list, memo, pool)
     out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
                         counter, max_list, pool)
     if n >= 2:
@@ -286,11 +281,17 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     return out
 
 
-def _decode_round(pool, words, n, p, q, max_list, memo):
-    """The lists of `words`, (nums, den) pairs of level n, in order.  The
-    distinct words not in the memo are decoded uncounted as one round of
-    pool tasks; pool.map yields in order, so a cap raised in any of them
-    comes out where the sequential decode would raise it."""
+def _decode_round(words, n, p, q, counter, max_list, memo, pool):
+    """The lists of `words`, (nums, den) pairs of level n, in order.
+
+    Without a pool each word is decoded in-process, in order, with the
+    decode's counter and memo.  With one (an uncounted decode's root), the
+    distinct words not in the memo are decoded as one round of pool tasks;
+    pool.map yields in order, so a cap raised in any of them comes out
+    where the in-process round would raise it."""
+    if pool is None:
+        return [_decode_core(nums, den, n, p, q, counter, max_list, memo)
+                for nums, den in words]
     todo = [key for key in dict.fromkeys(words) if key not in memo]
     if todo:
         nums, dens = zip(*todo)
@@ -419,7 +420,7 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
                         out.setdefault(body + known_pt if unknown_left
                                        else known_pt + body, tot)
                         if max_list is not None and len(out) > max_list:
-                            raise MaxListExceeded(len(out), max_list)
+                            raise MaxListExceeded(max_list)
             continue
         if inners is not trie_of:
             trie_of, (root, keys) = inners, _inner_trie(inners, den)
@@ -460,7 +461,7 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
                         out.setdefault(body + known_pt if unknown_left
                                        else known_pt + body, tot)
                         if max_list is not None and len(out) > max_list:
-                            raise MaxListExceeded(len(out), max_list)
+                            raise MaxListExceeded(max_list)
     return out
 
 
@@ -500,9 +501,8 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
                              repeat(half), repeat(limit), filter(None, tasks),
                              repeat(max_list)):
             out.update(part)
-        # the size a sequential scan reports: it stops at that survivor
         if max_list is not None and len(out) > max_list:
-            raise MaxListExceeded(max_list + 1, max_list)
+            raise MaxListExceeded(max_list)
     if counter is not None:
         counter.ops += npairs * size
     return list(out.items())
@@ -513,19 +513,10 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
 # ---------------------------------------------------------------------------
 
 
-def _check_args(eta: RationalLike, max_list: Optional[int]) -> Fraction:
-    """Validate the radius and the list cap; returns eta as a Fraction."""
-    eta = Fraction(eta)
-    if eta < 0:
-        raise ValueError("radius must be >= 0")
-    if max_list is not None and max_list < 0:
-        raise ValueError("max_list must be >= 0")
-    return eta
-
-
 def list_decode(
     r: CVector,
     eta: RationalLike,
+    workers: int = 1,
     *,
     max_list: Optional[int] = None,
     counter: Optional[CostCounter] = None,
@@ -533,49 +524,34 @@ def list_decode(
     """All members within relative squared distance eta of r, exactly.
 
     With a `counter`, the decode runs the literal recursion, all four child
-    calls at every node, and adds its ops to `counter.ops`; without one,
-    it skips the subtrees that cannot hold a member (see the module
-    docstring).  The list is the same either way; only a `max_list` cap
-    can tell them apart, as the counted decode builds lists the uncounted
-    one skips."""
-    eta = _check_args(eta, max_list)
-    nums, den = vector_to_scaled(r)
-    pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
-                       counter, max_list)
-    return DecodeList(len(r), den, pts)
+    calls at every node, in-process at any worker count, and adds its ops
+    to `counter.ops`; without one, it skips the subtrees that cannot hold
+    a member (see the module docstring).  The list is the same either way;
+    only a `max_list` cap can tell them apart, as the counted decode builds
+    lists the uncounted one skips.
 
-
-def list_decode_parallel(
-    r: CVector,
-    eta: RationalLike,
-    workers: int,
-    *,
-    max_list: Optional[int] = None,
-) -> DecodeList:
-    """Same output as `list_decode`, byte for byte, using a process pool.
-
-    `workers` is clamped to the CPU count w, and the root of the recursion
-    may use a pool of w processes.  The root decodes r0 in-process; when
-    its list is non-empty, the distinct words among r1, r_plus and r_minus
-    that r0 did not already decode go to the pool as one round.  When it
-    is empty, r1 is decoded in-process too, and only a non-empty r1 list
-    sends r_plus and r_minus as one round.  The root's pair scan, when it
-    has enough candidate pairs to pay for the shipping, goes to the pool as
-    2w stride slices.  The pool starts at the first round or scan it is
-    sent, so a word whose plain halves both decode empty starts no
-    process, and it is shut down on every exit, a raised cap included.
-    With one worker or one CPU, or a word below level 4, this is
-    `list_decode`.
-    """
+    `workers` is clamped to the CPU count w.  An uncounted decode of a word
+    of level 4 or more with w > 1 hands its root a pool of w processes,
+    which starts at the first round or scan it is sent and is shut down on
+    every exit, a raised cap included.  The output is the same, byte for
+    byte, at every worker count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    eta = Fraction(eta)
+    if eta < 0:
+        raise ValueError("radius must be >= 0")
+    if max_list is not None and max_list < 0:
+        raise ValueError("max_list must be >= 0")
     # the pool forks all its processes at once: no more than the machine has
     workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or r.n < 4:
-        return list_decode(r, eta, max_list=max_list)
-    eta = _check_args(eta, max_list)
+    # a counted decode stays the in-process recursion at any worker count
+    parallel = workers > 1 and r.n >= 4 and counter is None
     nums, den = vector_to_scaled(r)
     with _LazyPool(workers) as pool:
         pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
-                           None, max_list, pool=pool)
+                           counter, max_list, pool=pool if parallel else None)
     return DecodeList(len(r), den, pts)
+
+
+# the name the benchmark's traced run imports
+list_decode_parallel = list_decode

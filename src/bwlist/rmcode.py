@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from bwlist.arith import CVector, GaussianInt, level_of, phi_pow
@@ -38,6 +39,10 @@ def algebraic_normal_form(word: Sequence[int]) -> Bits:
     return tuple(coeffs)
 
 
+# rm_min_distance refuses codes of more than 2**_RM_ENUM_MAX_BITS bits in all
+_RM_ENUM_MAX_BITS = 22
+
+
 def rm_enumerate(degree: int, nvars: int) -> Iterator[Bits]:
     """All codewords of RM(degree, nvars), coefficient order."""
     if nvars < 0:
@@ -54,7 +59,19 @@ def rm_enumerate(degree: int, nvars: int) -> Iterator[Bits]:
 
 
 def rm_min_distance(degree: int, nvars: int) -> int:
-    """Minimum Hamming weight over nonzero codewords, by enumeration."""
+    """Minimum Hamming weight over nonzero codewords, by enumeration.
+
+    RM(degree, nvars) has 2^k codewords of 2^nvars bits each, k the number
+    of monomials of degree <= degree.  A code of more than
+    2^_RM_ENUM_MAX_BITS bits in all is refused before any codeword is
+    enumerated, whether k or nvars is what makes it large."""
+    if nvars < 0:
+        raise ValueError("nvars must be >= 0")
+    k = sum(comb(nvars, i) for i in range(degree + 1))
+    if k + nvars > _RM_ENUM_MAX_BITS:
+        raise ValueError(
+            f"RM({degree}, {nvars}) has 2^{k} codewords of 2^{nvars} bits:"
+            f" enumeration is refused above 2^{_RM_ENUM_MAX_BITS} bits")
     best = None
     for word in rm_enumerate(degree, nvars):
         weight = sum(word)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from bwlist.arith import CVector, QComplex, rsd
 from bwlist.bounds import random_word, validate_bounds
-from bwlist.decode import CostCounter, list_decode, list_decode_parallel
+from bwlist.decode import CostCounter, list_decode
 from bwlist.lattice import is_member
 from bwlist.oracle import oracle_list, shortest_vectors
 from bwlist.rmcode import lower_bound_instance
@@ -236,7 +236,7 @@ def test_08_worker_count_never_changes_output(monkeypatch) -> None:
     for n in range(9):
         for eta in (Fraction(1, 4), Fraction(3, 4)):
             word = random_word(random.Random(97 * n + eta.numerator), n)
-            outs = [list_decode_parallel(word, eta, w).to_lines()
+            outs = [list_decode(word, eta, w).to_lines()
                     for w in (1, 2, 8)]
             cells += 1
             if not (outs[0] == outs[1] == outs[2]):

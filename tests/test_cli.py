@@ -190,6 +190,12 @@ def test_rm_mindist_output(capsys) -> None:
     assert (code, out) == (EXIT_OK, "4\n")
 
 
+def test_rm_mindist_refuses_a_code_too_large_to_enumerate(capsys) -> None:
+    code, out, err = _run(["rm-mindist", "5", "3"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "2^26 codewords" in err
+
+
 def test_bounds_reports_and_exit(capsys) -> None:
     code, out, _ = _run(["bounds", "1", "--trials", "2"], capsys)
     assert code == EXIT_OK

@@ -24,7 +24,6 @@ from bwlist.decode import (
     CostCounter,
     MaxListExceeded,
     list_decode,
-    list_decode_parallel,
 )
 from bwlist.lattice import BWPoint, is_member, member_pairs
 from bwlist.oracle import oracle_list, shortest_vectors
@@ -155,7 +154,6 @@ def test_max_list_cap_raises() -> None:
     with pytest.raises(MaxListExceeded) as exc:
         list_decode(r, Fraction(1, 2), max_list=3)
     assert exc.value.limit == 3
-    assert exc.value.size > 3
 
 
 def test_negative_max_list_rejected_before_work() -> None:
@@ -166,7 +164,7 @@ def test_negative_max_list_rejected_before_work() -> None:
         list_decode(r, Fraction(1, 100), max_list=-1, counter=counter)
     assert counter.ops == 0
     with pytest.raises(ValueError, match="max_list must be >= 0"):
-        list_decode_parallel(r, Fraction(1, 100), 2, max_list=-1)
+        list_decode(r, Fraction(1, 100), 2, max_list=-1)
 
 
 def test_base_case_cap_fires_before_the_grid_is_built() -> None:
@@ -176,7 +174,7 @@ def test_base_case_cap_fires_before_the_grid_is_built() -> None:
         start = time.perf_counter()
         with pytest.raises(MaxListExceeded) as exc:
             list_decode(CVector([0]), eta, max_list=10)
-        assert exc.value.size == 11
+        assert exc.value.limit == 10
         assert time.perf_counter() - start < 2
 
 
@@ -197,7 +195,7 @@ def test_combine_cap_fires_during_the_scan() -> None:
                         (crafted, Fraction(3, 4), 300)):
         with pytest.raises(MaxListExceeded) as exc:
             list_decode(r, eta, max_list=cap)
-        assert (exc.value.size, exc.value.limit) == (cap + 1, cap)
+        assert exc.value.limit == cap
 
 
 def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
@@ -206,16 +204,15 @@ def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
     # stride slices across a pool of two (the CPU count reads 2, so a
     # 1-CPU machine uses the pool too), whose parts hold at most 2266.  Cap
     # 2000 fires inside a slice; under cap 5000 every part fits, and only
-    # the check on their union can fire.  Both report the size a
-    # sequential scan stops at, max_list + 1.
+    # the check on their union can fire.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     with pytest.raises(MaxListExceeded) as exc:
-        list_decode_parallel(r, Fraction(3, 4), 2, max_list=2000)
-    assert (exc.value.size, exc.value.limit) == (2001, 2000)
+        list_decode(r, Fraction(3, 4), 2, max_list=2000)
+    assert exc.value.limit == 2000
     with pytest.raises(MaxListExceeded) as exc:
-        list_decode_parallel(r, Fraction(3, 4), 2, max_list=5000)
-    assert (exc.value.size, exc.value.limit) == (5001, 5000)
+        list_decode(r, Fraction(3, 4), 2, max_list=5000)
+    assert exc.value.limit == 5000
     # the pool is shut down on the way out of a raised cap
     assert multiprocessing.active_children() == []
 
@@ -229,7 +226,7 @@ def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
     assert len(list_decode(r, Fraction(1, 4), max_list=0)) == 0
     with pytest.raises(MaxListExceeded) as exc:
         list_decode(r, Fraction(1, 4), max_list=0, counter=CostCounter())
-    assert (exc.value.size, exc.value.limit) == (1, 0)
+    assert exc.value.limit == 0
 
 
 def test_cost_counter_is_deterministic_and_positive() -> None:
@@ -250,7 +247,7 @@ def test_parallel_matches_sequential_small() -> None:
 
     r = CVector(coord() for _ in range(16))
     seq = list_decode(r, Fraction(1, 2))
-    par = list_decode_parallel(r, Fraction(1, 2), 2)
+    par = list_decode(r, Fraction(1, 2), 2)
     assert seq.to_lines() == par.to_lines()
 
 
@@ -268,7 +265,7 @@ def test_parallel_combine_matches_sequential_at_every_pool_size(
     seq = list_decode(r, eta).to_lines()
     assert len(seq) == 5210
     for workers in (2, 3, 8):
-        assert list_decode_parallel(r, eta, workers).to_lines() == seq, workers
+        assert list_decode(r, eta, workers).to_lines() == seq, workers
 
 
 def test_every_root_scan_can_go_through_the_pool(monkeypatch) -> None:
@@ -285,7 +282,7 @@ def test_every_root_scan_can_go_through_the_pool(monkeypatch) -> None:
              (random_word(rng, 5), Fraction(3, 4)),
              (random_word(rng, 5), Fraction(3, 4))]
     for r, eta in cases:
-        assert (list_decode_parallel(r, eta, 2).to_lines()
+        assert (list_decode(r, eta, 2).to_lines()
                 == list_decode(r, eta).to_lines())
 
 
@@ -323,7 +320,7 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch,
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
-    assert (list_decode_parallel(r, eta, 10**6).to_lines()
+    assert (list_decode(r, eta, 10**6).to_lines()
             == list_decode(r, eta).to_lines())
     assert inline_pool["sizes"] == [3]
     # r0's list is non-empty, so r1 and the transformed halves go as one
@@ -347,12 +344,29 @@ def test_pool_skips_the_transformed_round(monkeypatch, inline_pool) -> None:
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = CVector([HALF_PHI] * 16)
     eta = Fraction(1, 4)
-    par = list_decode_parallel(r, eta, 2, max_list=0)
+    par = list_decode(r, eta, 2, max_list=0)
     assert len(par) == 0
     assert par.to_lines() == list_decode(r, eta, max_list=0).to_lines()
     assert inline_pool["sizes"] == []
     assert inline_pool["rounds"] == []
     assert inline_pool["scans"] == []
+
+
+def test_counted_decode_opens_no_pool(monkeypatch, inline_pool) -> None:
+    # a counted decode runs the literal recursion in-process at any worker
+    # count: at 5/8 this word's r0 list holds 22 members, so the uncounted
+    # 2-worker decode sends a round to the pool, and the counted one must
+    # not.  The CPU count reads 2, so 2 workers use the pool on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    r = random_word(random.Random(0), 4)
+    eta = Fraction(5, 8)
+    one, two = CostCounter(), CostCounter()
+    lines = list_decode(r, eta, counter=one).to_lines()
+    assert list_decode(r, eta, 2, counter=two).to_lines() == lines
+    assert two.ops == one.ops > 0
+    assert inline_pool["sizes"] == []
+    assert list_decode(r, eta, 2).to_lines() == lines
+    assert inline_pool["sizes"] == [2]
 
 
 def test_pool_free_decode_loads_no_pool() -> None:
@@ -362,11 +376,11 @@ def test_pool_free_decode_loads_no_pool() -> None:
     script = ("import os, sys\n"
               "from fractions import Fraction\n"
               "from bwlist.arith import CVector, QComplex\n"
-              "from bwlist.decode import list_decode_parallel\n"
+              "from bwlist.decode import list_decode\n"
               "os.cpu_count = lambda: 2\n"
               "half_phi = QComplex(Fraction(1, 2), Fraction(1, 2))\n"
               "r = CVector([half_phi] * 16)\n"
-              "assert len(list_decode_parallel(r, Fraction(1, 4), 2)) == 0\n"
+              "assert len(list_decode(r, Fraction(1, 4), 2)) == 0\n"
               "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
               "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
@@ -374,9 +388,15 @@ def test_pool_free_decode_loads_no_pool() -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_name_is_the_one_entry_point() -> None:
+    # the benchmark's traced run imports list_decode_parallel; it must stay
+    # list_decode itself, not a second body
+    assert decode.list_decode_parallel is list_decode
+
+
 def test_parallel_rejects_bad_worker_count() -> None:
     with pytest.raises(ValueError):
-        list_decode_parallel(CVector([0, 0]), Fraction(1, 2), 0)
+        list_decode(CVector([0, 0]), Fraction(1, 2), 0)
 
 
 # Radii in [1/2, 1], capped per level so that the Fraction-based brute
@@ -453,18 +473,17 @@ def _differential_cases(draw):
     return CVector(word), CVector(other), draw(radii), draw(radii), cap
 
 
-def _lines_or_cap(decode_fn, *args, **kwargs):
-    """The decode's lines, or the (size, limit) of the cap that fires."""
+def _lines_or_cap(*args, **kwargs):
+    """list_decode's lines, or the limit of the cap that fires."""
     try:
-        return decode_fn(*args, **kwargs).to_lines()
+        return list_decode(*args, **kwargs).to_lines()
     except MaxListExceeded as exc:
-        return exc.size, exc.limit
+        return exc.limit
 
 
 def _counted(r, eta, max_list):
     counter = CostCounter()
-    lines = _lines_or_cap(list_decode, r, eta, max_list=max_list,
-                          counter=counter)
+    lines = _lines_or_cap(r, eta, max_list=max_list, counter=counter)
     return lines, counter.ops
 
 
@@ -484,15 +503,15 @@ def test_fast_decode_matches_literal_decode(case) -> None:
     r, other, eta, other_eta, cap = case
     other_before = _counted(other, other_eta, cap)
     literal, ops = _counted(r, eta, cap)
-    fast = _lines_or_cap(list_decode, r, eta, max_list=cap)
+    fast = _lines_or_cap(r, eta, max_list=cap)
     # the CPU count reads 2, so words of level >= 4 use the pool on any
     # machine
     with mock.patch.object(os, "cpu_count", lambda: 2):
-        par = _lines_or_cap(list_decode_parallel, r, eta, 2, max_list=cap)
+        par = _lines_or_cap(r, eta, 2, max_list=cap)
     if isinstance(literal, list):
         assert fast == literal
-    if isinstance(fast, tuple):
-        assert isinstance(literal, tuple)
+    if isinstance(fast, int):
+        assert isinstance(literal, int)
     else:
         # a cap that fires nowhere the fast decode looks leaves it exact
         assert fast == list_decode(r, eta).to_lines()
@@ -547,7 +566,7 @@ def test_every_scan_survivor_is_a_member(monkeypatch, inline_pool) -> None:
     before = sum(survivors.values())
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
-    assert list_decode_parallel(r, Fraction(3, 4), 2)
+    assert list_decode(r, Fraction(3, 4), 2)
     assert inline_pool["scans"]
     assert sum(survivors.values()) > before
 

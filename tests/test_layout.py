@@ -131,3 +131,18 @@ def test_every_public_name_has_a_reader() -> None:
                        if not name.startswith("_") and name not in readers
                        and name not in bwlist.__all__]
     assert not unread, unread
+
+
+def test_only_decode_reads_the_benchmark_alias() -> None:
+    # list_decode_parallel stays only as the benchmark's import of
+    # list_decode; the package itself calls list_decode
+    name = "list_decode_parallel"
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees() if path.name != "decode.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name
+    ]
+    assert not offenders, offenders

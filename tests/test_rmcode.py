@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -70,6 +71,17 @@ def test_rm_min_distance_closed_form() -> None:
     for nvars in (1, 2, 3, 4):
         for degree in range(nvars):
             assert rm_min_distance(degree, nvars) == 1 << (nvars - degree)
+
+
+def test_rm_min_distance_refuses_a_code_too_large_to_enumerate() -> None:
+    # RM(3, 5) has 2^26 codewords of 32 bits, some 17 minutes of
+    # enumeration, and RM(1, 19) only 2^20, but of 2^19 bits each; the
+    # refusal names k and comes before the first codeword
+    with mock.patch("bwlist.rmcode.rm_enumerate") as enumerate_:
+        for degree, nvars, k in ((3, 5, 26), (1, 19, 20)):
+            with pytest.raises(ValueError, match=rf"2\^{k} codewords"):
+                rm_min_distance(degree, nvars)
+    enumerate_.assert_not_called()
 
 
 def test_gaussian_binomial_values() -> None:
