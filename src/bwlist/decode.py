@@ -36,10 +36,10 @@ Operation-counting convention (CostCounter, reported as `decode.ops` by
 perfbench's traced run):
 
 * base case: one op per grid cell examined;
-* each internal node: 2N ops for forming the two transformed half-words;
-* each candidate pair: N ops, the envelope of the reconstruct-and-test
-  scan, counted from the list sizes whether the flat scan or the trie
-  join visits it.
+* each internal node, after its combine: 2N ops for forming the two
+  transformed half-words, plus N ops per candidate pair, the envelope of
+  the reconstruct-and-test scan, counted from the list sizes whether the
+  flat scan or the trie join visits it.
 
 A node decodes its plain halves r0 and r1 first.  When both lists come
 back empty, an uncounted decode returns the empty list without decoding
@@ -51,15 +51,16 @@ CostCounter runs the literal recursion instead, all four child calls at
 every node, so counted ops track the 4**n envelope rather than the luck
 of a particular received word.
 
-Within one decode, each node of level >= 2 is decoded once per distinct
-(word, den): a memo holds its list and the ops its subtree counted, and a
-repeat adds those ops to the counter, so counted ops equal the literal
-recursion's.  Structured words repeat subproblems heavily: the level-8
-all-phi/2 word has 80 distinct nodes below its root, out of 87 380.
-Levels 0 and 1 are left out: their nodes are cheap and so many that
-building and holding their keys costs more than the repeats save.  The
-memo belongs to one call and never outlives it; the lists it hands back
-are shared, and nothing downstream mutates them.
+Within one uncounted decode, each node of level >= 2 is decoded once per
+distinct (word, den): a memo holds its list, and a repeat returns it.
+Structured words repeat subproblems heavily: the level-8 all-phi/2 word
+has 80 distinct nodes below its root, out of 87 380.  Levels 0 and 1 are
+left out: their nodes are cheap and so many that building and holding
+their keys costs more than the repeats save.  The memo belongs to one
+call and never outlives it; the lists it hands back are shared, and
+nothing downstream mutates them.  A counted decode neither reads nor
+writes the memo: it decodes every node of the literal recursion, and a
+list lives only until its parent's combine.
 
 A `max_list` cap aborts the whole decode with MaxListExceeded as soon as
 any list the decode builds, intermediate or final, exceeds it:
@@ -217,10 +218,12 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     """Returns [(point, tot)]: tot is the exact scaled squared distance
     sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
 
-    `memo` maps the (nums, den) of each node of level >= 2 decoded so far
-    to its list and the ops its subtree counted; a call without one starts
-    its own, so a memo never outlives the decode it belongs to.  The lists
-    it returns are shared and must not be mutated.
+    An uncounted call (`counter` None) memoises: `memo` maps the
+    (nums, den) of each node of level >= 2 decoded so far to its list; a
+    call without one starts its own, so a memo never outlives the decode
+    it belongs to.  The lists it returns are shared and must not be
+    mutated.  A counted call neither reads nor writes a memo, and adds
+    each node's ops after its combine.
 
     A `pool` (a `_LazyPool`), given to an uncounted root call only, takes
     the root's rounds and its large pair scan; see the module docstring."""
@@ -246,18 +249,14 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
             counter.ops += (xhi - xlo + 1) * (yhi - ylo + 1)
         return out
 
-    if memo is None:
-        memo = {}
-    if n >= 2:
-        hit = memo.get((nums, den))
-        if hit is not None:
-            if counter is not None:
-                counter.ops += hit[1]
-            return hit[0]
-        start = counter.ops if counter is not None else 0
+    if counter is None:
+        if memo is None:
+            memo = {}
+        if n >= 2:
+            hit = memo.get((nums, den))
+            if hit is not None:
+                return hit
     r0, r1, rp, rm, den2 = _split_words(nums, den, n)
-    if counter is not None:
-        counter.ops += 2 << n
     sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
     if sub0:
         # r0's list needs every other child
@@ -273,11 +272,13 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
         if sub1 or counter is not None:
             subp, subm = _decode_round(((rp, den2), (rm, den2)), n - 1, p,
                                        q, counter, max_list, memo, pool)
-    out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                        counter, max_list, pool)
-    if n >= 2:
-        memo[nums, den] = (out, counter.ops - start if counter is not None
-                           else 0)
+    npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
+    out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
+                        max_list, pool)
+    if counter is not None:
+        counter.ops += (2 + npairs) << n
+    elif n >= 2:
+        memo[nums, den] = out
     return out
 
 
@@ -298,8 +299,8 @@ def _decode_round(words, n, p, q, counter, max_list, memo, pool):
         lists = pool.map(_decode_core, nums, dens, repeat(n), repeat(p),
                          repeat(q), repeat(None), repeat(max_list))
         for key, sub in zip(todo, lists):
-            memo[key] = (sub, 0)
-    return [memo[key][0] for key in words]
+            memo[key] = sub
+    return [memo[key] for key in words]
 
 
 class _LazyPool:
@@ -465,10 +466,9 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     return out
 
 
-def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
-                  counter, max_list, pool=None):
+def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
+                  max_list, pool=None):
     size = 1 << n
-    npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
     if npairs == 0:
         return []
     half = size >> 1
@@ -503,8 +503,6 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm,
             out.update(part)
         if max_list is not None and len(out) > max_list:
             raise MaxListExceeded(max_list)
-    if counter is not None:
-        counter.ops += npairs * size
     return list(out.items())
 
 
@@ -524,7 +522,8 @@ def list_decode(
     """All members within relative squared distance eta of r, exactly.
 
     With a `counter`, the decode runs the literal recursion, all four child
-    calls at every node, in-process at any worker count, and adds its ops
+    calls at every node, in-process at any worker count and without the
+    memo, and adds its ops
     to `counter.ops`; without one, it skips the subtrees that cannot hold
     a member (see the module docstring).  The list is the same either way;
     only a `max_list` cap can tell them apart, as the counted decode builds

@@ -12,7 +12,8 @@ remaining budget prunes the search.
 Shares only the scalar arithmetic, the membership test (as a self-check on
 every emitted point) and the result containers with the rest of the
 package — none of the decoder's recursion or candidate assembly.  Meant
-for small levels (the default cap is 4).
+for small levels: the default cap is 4, and levels above 9 are refused
+at any cap.
 """
 
 from __future__ import annotations
@@ -26,10 +27,19 @@ from bwlist.lattice import member_pairs
 
 DEFAULT_CAP = 4
 
+# the search recurses once per coordinate, so a level-10 word's 1024
+# frames pass the interpreter's default recursion limit of 1000
+_MAX_LEVEL = 9
+
 
 def _enumerate_scaled(nums, den, n, p, q):
     """All members within the scaled budget, as ((re, im) pairs, tot) with
-    tot the exact scaled squared distance sum_j |R_j - den * w_j|^2."""
+    tot the exact scaled squared distance sum_j |R_j - den * w_j|^2.
+
+    Levels above _MAX_LEVEL are refused, whatever a caller's cap says."""
+    if n > _MAX_LEVEL:
+        raise ValueError(
+            f"level {n} exceeds the oracle's depth limit {_MAX_LEVEL}")
     size = 1 << n
     budget = p * den * den * size
     diag = []

@@ -67,7 +67,7 @@ def rm_min_distance(degree: int, nvars: int) -> int:
     enumerated, whether k or nvars is what makes it large."""
     if nvars < 0:
         raise ValueError("nvars must be >= 0")
-    k = sum(comb(nvars, i) for i in range(degree + 1))
+    k = sum(comb(nvars, i) for i in range(min(degree, nvars) + 1))
     if k + nvars > _RM_ENUM_MAX_BITS:
         raise ValueError(
             f"RM({degree}, {nvars}) has 2^{k} codewords of 2^{nvars} bits:"

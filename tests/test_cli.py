@@ -175,6 +175,20 @@ def test_kissing_respects_cap(capsys) -> None:
                                 "error: trials must be >= 0\n")
 
 
+def test_oracle_depth_limit_is_a_usage_error() -> None:
+    # a level-10 word is refused with an error line, not a RecursionError
+    # traceback
+    zero_word = " ".join(["0,0"] * 1024)
+    for argv, stdin in ((["oracle", "--eta", "0", "--cap", "10"], zero_word),
+                        (["kissing", "10", "--cap", "10"], "")):
+        proc = subprocess.run([sys.executable, "-m", "bwlist.cli", *argv],
+                              input=stdin, env=SRC_ENV, capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, ""), argv
+        assert proc.stderr == (
+            "error: level 10 exceeds the oracle's depth limit 9\n"), argv
+
+
 def test_lower_bound_output(capsys) -> None:
     code, out, _ = _run(["lower-bound", "2", "1/2"], capsys)
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import multiprocessing
 import os
@@ -227,6 +228,27 @@ def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
     with pytest.raises(MaxListExceeded) as exc:
         list_decode(r, Fraction(1, 4), max_list=0, counter=CostCounter())
     assert exc.value.limit == 0
+
+
+def test_counted_decode_calls_every_node_of_the_recursion(
+        monkeypatch) -> None:
+    # the level-4 deep hole at 1/2 repeats its subproblems at every level:
+    # the counted decode must still visit all 4**(4 - n) nodes of each
+    # level n, 341 in all, and only the uncounted decode may reuse them
+    core = decode._decode_core
+    levels = []
+
+    def spy(nums, den, n, *args, **kwargs):
+        levels.append(n)
+        return core(nums, den, n, *args, **kwargs)
+
+    monkeypatch.setattr(decode, "_decode_core", spy)
+    r = CVector([HALF_PHI] * 16)
+    list_decode(r, Fraction(1, 2), counter=CostCounter())
+    assert collections.Counter(levels) == {4: 1, 3: 4, 2: 16, 1: 64, 0: 256}
+    levels.clear()
+    list_decode(r, Fraction(1, 2))
+    assert 0 < len(levels) < 341
 
 
 def test_cost_counter_is_deterministic_and_positive() -> None:
@@ -481,10 +503,21 @@ def _lines_or_cap(*args, **kwargs):
         return exc.limit
 
 
-def _counted(r, eta, max_list):
-    counter = CostCounter()
-    lines = _lines_or_cap(r, eta, max_list=max_list, counter=counter)
-    return lines, counter.ops
+def _literal(r, eta, max_list):
+    """The counted decode's lines or cap: the literal recursion, which
+    never touches the memo."""
+    return _lines_or_cap(r, eta, max_list=max_list, counter=CostCounter())
+
+
+def _check_fast(fast, literal, r, eta):
+    """An uncounted decode's lines or cap against the literal decode's."""
+    if isinstance(literal, list):
+        assert fast == literal
+    if isinstance(fast, int):
+        assert isinstance(literal, int)
+    else:
+        # a cap that fires nowhere the fast decode looks leaves it exact
+        assert fast == list_decode(r, eta).to_lines()
 
 
 @settings(max_examples=40, deadline=None)
@@ -494,32 +527,29 @@ def _counted(r, eta, max_list):
 @example((random_word(random.Random(0), 4), CVector([0] * 16),
           Fraction(5, 8), Fraction(5, 8), 22))
 def test_fast_decode_matches_literal_decode(case) -> None:
-    # the counted decode runs the literal four-call recursion; the uncounted
-    # one takes the early exit, and both memoise repeated subproblems.  The
-    # first example's word at 3/8 has lists over a cap of 2 only in
-    # subtrees the early exit skips, so the 2-worker decode must skip them
-    # too.  In the second, r0's list of 22 fits a cap of 22 and r_plus's 27
-    # do not, so the 2-worker decode's cap fires in its pool round
+    # the counted decode runs the literal four-call recursion and never
+    # touches the memo; the uncounted one takes the early exit and memoises
+    # repeated subproblems.  The first example's word at 3/8 has lists over
+    # a cap of 2 only in subtrees the early exit skips, so the 2-worker
+    # decode must skip them too.  In the second, r0's list of 22 fits a cap
+    # of 22 and r_plus's 27 do not, so the 2-worker decode's cap fires in
+    # its pool round
     r, other, eta, other_eta, cap = case
-    other_before = _counted(other, other_eta, cap)
-    literal, ops = _counted(r, eta, cap)
+    # the other word, which shares r's left half, is decoded uncounted
+    # before and after r: a memo that outlived its decode would hand one
+    # word's lists, found at one radius, to the other word's decode
+    other_before = _lines_or_cap(other, other_eta, max_list=cap)
     fast = _lines_or_cap(r, eta, max_list=cap)
     # the CPU count reads 2, so words of level >= 4 use the pool on any
     # machine
     with mock.patch.object(os, "cpu_count", lambda: 2):
         par = _lines_or_cap(r, eta, 2, max_list=cap)
-    if isinstance(literal, list):
-        assert fast == literal
-    if isinstance(fast, int):
-        assert isinstance(literal, int)
-    else:
-        # a cap that fires nowhere the fast decode looks leaves it exact
-        assert fast == list_decode(r, eta).to_lines()
+    other_after = _lines_or_cap(other, other_eta, max_list=cap)
+    _check_fast(fast, _literal(r, eta, cap), r, eta)
     assert par == fast
-    # a decode's memo starts empty: a counted decode after the uncounted
-    # one, and the other word decoded again, count and list as before
-    assert _counted(r, eta, cap) == (literal, ops)
-    assert _counted(other, other_eta, cap) == other_before
+    other_literal = _literal(other, other_eta, cap)
+    for got in (other_before, other_after):
+        _check_fast(got, other_literal, other, other_eta)
 
 
 @settings(max_examples=50, deadline=None)
@@ -691,6 +721,7 @@ def test_lean_text_equals_object_text(case) -> None:
         lines = result.to_lines()
         assert lines == _object_lines(result)
         assert len(result) == len(lines)
+    assert list_decode(r, eta).to_lines() == oracle_list(r, eta).to_lines()
 
 
 def test_lean_text_equals_object_text_for_fixed_lists() -> None:

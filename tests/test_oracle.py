@@ -63,6 +63,12 @@ def test_oracle_refuses_large_levels() -> None:
         oracle_list(CVector([0] * 32), Fraction(1, 2))
     with pytest.raises(ValueError):
         oracle_list(CVector([0]), Fraction(-1, 2))
+    # the search recurses once per coordinate: a level-10 word would pass
+    # the interpreter's recursion limit, so no cap lets it in
+    with pytest.raises(ValueError, match="depth limit 9"):
+        oracle_list(CVector([0] * 1024), 0, cap=10)
+    with pytest.raises(ValueError, match="depth limit 9"):
+        shortest_vectors(10, cap=10)
 
 
 def test_minimum_norm_doubles_per_level() -> None:

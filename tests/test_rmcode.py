@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -82,6 +83,14 @@ def test_rm_min_distance_refuses_a_code_too_large_to_enumerate() -> None:
             with pytest.raises(ValueError, match=rf"2\^{k} codewords"):
                 rm_min_distance(degree, nvars)
     enumerate_.assert_not_called()
+
+
+def test_rm_min_distance_sizes_a_huge_degree_at_once() -> None:
+    # a degree past nvars adds no monomial, so k stops at 2^nvars: RM(10^12,
+    # 3) is all eight-bit words, sized without a loop over the degree
+    start = time.perf_counter()
+    assert rm_min_distance(10**12, 3) == 1
+    assert time.perf_counter() - start < 1
 
 
 def test_gaussian_binomial_values() -> None:
