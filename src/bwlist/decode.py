@@ -78,27 +78,32 @@ recursion, `_decode_core`, with one child schedule: r0 first; then, when
 r0's list is non-empty, r1, r_plus and r_minus as one round
 (`_decode_round`); otherwise r1 alone, and r_plus and r_minus as one
 round only when r1's list is non-empty or the decode is counted.  A round
-decodes its words in order, in-process, unless it is given a pool.
+decodes its words in order, in-process, unless the node has more than
+one worker.
 
 `list_decode` clamps the worker count w to the CPU count, and an
-uncounted decode of level >= 4 with w > 1 hands its root a pool of w
-processes that starts only when it is first sent work.  The root's
-rounds go to the pool, each distinct word once and a word already
-decoded not at all, and each child decodes sequentially in its own
-process; pool.map yields in order, so a cap fires alike at every worker
-count.  The root's pair scan, when it has enough candidate pairs, goes to
-the pool in 2w stride slices, task k of m taking every m-th outer of
-every pairing, so a task builds each inner trie just once.  The
-trade-off: the child decodes run at most three at once at any w, and the
-root's r0 runs before any of them; only the sliced scan uses all w
-processes.  Machines wider than two CPUs are unmeasured.
+uncounted decode of level >= 4 with w > 1, on a platform with os.fork,
+gives its root w worker processes: the caller itself and w - 1 children
+forked by `_fork_map`, with no pool.  Each of the root's rounds and, when
+it has enough candidate pairs, its pair scan is one `_fork_map`: the
+calls are dealt round-robin, the caller makes its own share in-process,
+and each child inherits its arguments (the words, the memo, the child
+lists) by the fork, so nothing is pickled on the way in, and sends back
+its pickled results.  A round decodes each distinct word not yet in the
+memo once, each with the in-process round's call; the scan is cut into w
+stride slices, slice k taking every w-th outer of every pairing, so each
+process builds each inner trie just once.  Results and the first
+exception come back in call order, so the output and a cap are the same
+at every worker count.  The trade-off: a round has at most three words,
+so it uses at most three processes at any w, and the root's r0 runs
+before it; only the sliced scan uses all w.  Machines wider than two
+CPUs are unmeasured.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import repeat
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
@@ -110,7 +115,8 @@ from bwlist.arith import (
 )
 from bwlist.lattice import BWPoint
 
-# hand a node's pair scan to the pool above this many candidate pairs
+# slice the root's pair scan across the workers above this many candidate
+# pairs
 _PAR_COMBINE_MIN = 50_000
 
 # join outers against a radix trie of any inner list at least this long;
@@ -214,7 +220,7 @@ def _split_words(nums, den, n):
 
 
 def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
-                 pool=None):
+                 workers=1):
     """Returns [(point, tot)]: tot is the exact scaled squared distance
     sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
 
@@ -225,8 +231,10 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     mutated.  A counted call neither reads nor writes a memo, and adds
     each node's ops after its combine.
 
-    A `pool` (a `_LazyPool`), given to an uncounted root call only, takes
-    the root's rounds and its large pair scan; see the module docstring."""
+    `workers` > 1, given to an uncounted root call only, spreads the
+    root's rounds and its large pair scan over that many processes: the
+    caller and forked children (`_fork_map`); see the module docstring.
+    Every call below the root runs in one process."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -262,7 +270,7 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
         # r0's list needs every other child
         sub1, subp, subm = _decode_round(
             ((r1, den), (rp, den2), (rm, den2)), n - 1, p, q, counter,
-            max_list, memo, pool)
+            max_list, memo, workers)
     else:
         sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
         # with empty r0 and r1 lists no pair has a known half: the list is
@@ -271,10 +279,10 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
         subp = subm = []
         if sub1 or counter is not None:
             subp, subm = _decode_round(((rp, den2), (rm, den2)), n - 1, p,
-                                       q, counter, max_list, memo, pool)
+                                       q, counter, max_list, memo, workers)
     npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
     out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
-                        max_list, pool)
+                        max_list, workers)
     if counter is not None:
         counter.ops += (2 + npairs) << n
     elif n >= 2:
@@ -282,50 +290,107 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     return out
 
 
-def _decode_round(words, n, p, q, counter, max_list, memo, pool):
+def _decode_round(words, n, p, q, counter, max_list, memo, workers):
     """The lists of `words`, (nums, den) pairs of level n, in order.
 
-    Without a pool each word is decoded in-process, in order, with the
-    decode's counter and memo.  With one (an uncounted decode's root), the
-    distinct words not in the memo are decoded as one round of pool tasks;
-    pool.map yields in order, so a cap raised in any of them comes out
-    where the in-process round would raise it."""
-    if pool is None:
+    With one worker each word is decoded in-process, in order, with the
+    decode's counter and memo.  With more (an uncounted decode's root),
+    the distinct words not in the memo are decoded by `_fork_map`, each
+    with the call the in-process round makes: a child decodes with a
+    copy-on-write copy of the memo, and a cap raised in any of them comes
+    out where the in-process round would raise it."""
+    if workers == 1:
         return [_decode_core(nums, den, n, p, q, counter, max_list, memo)
                 for nums, den in words]
     todo = [key for key in dict.fromkeys(words) if key not in memo]
-    if todo:
-        nums, dens = zip(*todo)
-        lists = pool.map(_decode_core, nums, dens, repeat(n), repeat(p),
-                         repeat(q), repeat(None), repeat(max_list))
-        for key, sub in zip(todo, lists):
-            memo[key] = sub
+    lists = _fork_map(_decode_core,
+                      [(nums, den, n, p, q, counter, max_list, memo)
+                       for nums, den in todo], workers)
+    memo.update(zip(todo, lists))
     return [memo[key] for key in words]
 
 
-class _LazyPool:
-    """A pool of `size` processes that starts at its first `map`, so a
-    decode that sends no task imports no concurrent.futures and starts no
-    process.  Leaving the `with` block shuts down what was started, on
-    every exit."""
+def _run_calls(fn, calls):
+    """(results, exc): fn's results on `calls` in order up to the first
+    call that raises an Exception, and that exception, or None."""
+    results = []
+    try:
+        for args in calls:
+            results.append(fn(*args))
+    except Exception as exc:
+        return results, exc
+    return results, None
 
-    def __init__(self, size):
-        self.size = size
-        self._executor = None
 
-    def map(self, fn, *iterables):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(max_workers=self.size)
-        return self._executor.map(fn, *iterables)
+def _fork_map(fn, calls, workers):
+    """[fn(*c) for c in calls], made by w = min(workers, len(calls))
+    processes: process k makes calls[k::w] in order.
 
-    def __enter__(self):
-        return self
+    Process 0 is the caller; processes 1 .. w-1 are forked children,
+    which inherit their arguments, send back their pickled results
+    through a pipe and leave through os._exit.  The first exception in
+    call order is re-raised, where the in-process loop would raise it: a
+    child whose calls all come after it is not waited for.  A child that
+    ends without sending its result raises RuntimeError.  Every child is
+    reaped on every exit; the read ends are closed first, so a child
+    blocked writing a result nobody reads gets EPIPE and ends."""
+    w = min(workers, len(calls))
+    if w < 2:
+        return [fn(*args) for args in calls]
+    import pickle
 
-    def __exit__(self, *exc):
-        if self._executor is not None:
-            self._executor.shutdown()
-        return False
+    pids, readers = [], []
+    lost = None
+    try:
+        for k in range(1, w):
+            rfd, wfd = os.pipe()
+            readers.append(open(rfd, "rb"))
+            with open(wfd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        # a read end held open here, a sibling's or its own,
+                        # would keep a writer from seeing EPIPE
+                        for reader in readers:
+                            reader.close()
+                        pickle.dump(_run_calls(fn, calls[k::w]), writer,
+                                    pickle.HIGHEST_PROTOCOL)
+                        writer.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        results, error = _run_calls(fn, calls[::w])
+        parts = [results]
+        # the index of the first call that raised, len(calls) if none did
+        first = len(calls) if error is None else len(results) * w
+        for k, (pid, reader) in enumerate(zip(pids, readers), 1):
+            if k >= first:
+                break
+            data = reader.read()
+            if not data:
+                lost = pid
+                break
+            results, exc = pickle.loads(data)
+            parts.append(results)
+            if exc is not None and k + len(results) * w < first:
+                first, error = k + len(results) * w, exc
+    finally:
+        for reader in readers:
+            reader.close()
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid in pids}
+    if lost is not None:
+        raise RuntimeError(
+            f"worker process {lost} ended with exit status "
+            f"{os.waitstatus_to_exitcode(statuses[lost])} before sending "
+            f"its result")
+    if error is not None:
+        raise error
+    out = [None] * len(calls)
+    for k, results in enumerate(parts):
+        out[k::w] = results
+    return out
 
 
 # Per pairing: which child lists pair up, the reconstruction signs for the
@@ -467,7 +532,7 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
 
 
 def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
-                  max_list, pool=None):
+                  max_list, workers=1):
     size = 1 << n
     if npairs == 0:
         return []
@@ -485,21 +550,20 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
         )
         if outers and inners
     ]
-    if pool is None or npairs < _PAR_COMBINE_MIN:
+    if workers == 1 or npairs < _PAR_COMBINE_MIN:
         out = _scan_blocks(nums, den, half, limit, blocks, max_list)
     else:
-        # two tasks per process: task k scans outers[k::m] of every pairing
-        # and builds each inner trie once; it checks the cap on its own part,
-        # as a part over the cap puts the union over it.  A point that two
-        # tasks find has the same exact tot in both.
-        m = 2 * pool.size
-        tasks = [[(outers[k::m], inners, spec)
-                  for outers, inners, spec in blocks if len(outers) > k]
-                 for k in range(m)]
+        # one slice per process: slice k scans outers[k::w] of every
+        # pairing and builds each inner trie once; it checks the cap on its
+        # own part, as a part over the cap puts the union over it.  A point
+        # that two slices find has the same exact tot in both.
+        slices = [[(outers[k::workers], inners, spec)
+                   for outers, inners, spec in blocks if len(outers) > k]
+                  for k in range(workers)]
         out = {}
-        for part in pool.map(_scan_blocks, repeat(nums), repeat(den),
-                             repeat(half), repeat(limit), filter(None, tasks),
-                             repeat(max_list)):
+        for part in _fork_map(_scan_blocks,
+                              [(nums, den, half, limit, blocks, max_list)
+                               for blocks in slices if blocks], workers):
             out.update(part)
         if max_list is not None and len(out) > max_list:
             raise MaxListExceeded(max_list)
@@ -530,10 +594,13 @@ def list_decode(
     lists the uncounted one skips.
 
     `workers` is clamped to the CPU count w.  An uncounted decode of a word
-    of level 4 or more with w > 1 hands its root a pool of w processes,
-    which starts at the first round or scan it is sent and is shut down on
-    every exit, a raised cap included.  The output is the same, byte for
-    byte, at every worker count."""
+    of level 4 or more with w > 1 spreads its root's rounds and large pair
+    scan over w processes: the caller and w - 1 children it forks for
+    each, and reaps on every exit, a raised cap included.  There is no
+    pool.  Where os.fork is missing the decode runs in-process.  The
+    decoder starts no thread; a threaded caller that passes w > 1 takes
+    on the usual hazards of forking a threaded process.  The output is
+    the same, byte for byte, at every worker count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     eta = Fraction(eta)
@@ -541,14 +608,15 @@ def list_decode(
         raise ValueError("radius must be >= 0")
     if max_list is not None and max_list < 0:
         raise ValueError("max_list must be >= 0")
-    # the pool forks all its processes at once: no more than the machine has
+    # each worker past the first is a forked process: no more than the
+    # machine has, and none where the platform cannot fork
     workers = min(workers, os.cpu_count() or 1)
     # a counted decode stays the in-process recursion at any worker count
-    parallel = workers > 1 and r.n >= 4 and counter is None
+    if r.n < 4 or counter is not None or not hasattr(os, "fork"):
+        workers = 1
     nums, den = vector_to_scaled(r)
-    with _LazyPool(workers) as pool:
-        pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
-                           counter, max_list, pool=pool if parallel else None)
+    pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
+                       counter, max_list, workers=workers)
     return DecodeList(len(r), den, pts)
 
 

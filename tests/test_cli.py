@@ -90,7 +90,7 @@ def test_decode_cap_ignores_a_skipped_subtree(capsys, monkeypatch) -> None:
 def test_decode_cap_message_is_the_same_at_every_worker_count(
         capsys, monkeypatch) -> None:
     # the crafted word's top combine finds 5210 members; at 2 workers (the
-    # CPU count reads 2, so the pool is used on any machine) they are found
+    # CPU count reads 2, so the decode forks on any machine) they are found
     # in stride slices that each fit under the cap, and the union must
     # report the size the sequential scan stops at
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -254,9 +254,9 @@ def test_closed_output_pipe_is_not_an_error() -> None:
 
 
 def test_cli_import_leaves_the_pool_unloaded() -> None:
-    # only a decode on more than one worker needs the process pool, so
-    # startup of every command skips its import; and every value type is a
-    # tuple, so nothing loads dataclasses either
+    # a decode on more than one worker forks its helpers without a process
+    # pool, so no command imports one; and every value type is a tuple, so
+    # nothing loads dataclasses either
     script = ("import sys, bwlist.cli\n"
               "for name in ('concurrent.futures.process', 'multiprocessing',\n"
               "             'dataclasses'):\n"

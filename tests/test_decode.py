@@ -1,15 +1,13 @@
 from __future__ import annotations
 
 import collections
-import concurrent.futures
-import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import starmap
 from math import lcm
 from unittest import mock
 
@@ -199,23 +197,28 @@ def test_combine_cap_fires_during_the_scan() -> None:
         assert exc.value.limit == cap
 
 
+def _assert_no_child_left() -> None:
+    """Every process the decode forked has been reaped: this process has
+    no child, running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-4 lists (at most 1242)
     # fit under both caps, and the top combine's 5210 members are found in
-    # stride slices across a pool of two (the CPU count reads 2, so a
-    # 1-CPU machine uses the pool too), whose parts hold at most 2266.  Cap
-    # 2000 fires inside a slice; under cap 5000 every part fits, and only
-    # the check on their union can fire.
+    # two stride slices, one in the caller and one in a forked child (the
+    # CPU count reads 2, so a 1-CPU machine forks too), whose parts hold at
+    # most 3226.  Cap 2000 fires inside a slice; under cap 5000 every part
+    # fits, and only the check on their union can fire.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
-    with pytest.raises(MaxListExceeded) as exc:
-        list_decode(r, Fraction(3, 4), 2, max_list=2000)
-    assert exc.value.limit == 2000
-    with pytest.raises(MaxListExceeded) as exc:
-        list_decode(r, Fraction(3, 4), 2, max_list=5000)
-    assert exc.value.limit == 5000
-    # the pool is shut down on the way out of a raised cap
-    assert multiprocessing.active_children() == []
+    for cap in (2000, 5000):
+        with pytest.raises(MaxListExceeded) as exc:
+            list_decode(r, Fraction(3, 4), 2, max_list=cap)
+        assert exc.value.limit == cap
+        # every child is reaped on the way out of a raised cap
+        _assert_no_child_left()
 
 
 def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
@@ -276,11 +279,11 @@ def test_parallel_matches_sequential_small() -> None:
 def test_parallel_combine_matches_sequential_at_every_pool_size(
         monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine examines
-    # 161 460 pairs (over _PAR_COMBINE_MIN, so each pool task scans a stride
+    # 161 460 pairs (over _PAR_COMBINE_MIN, so each process scans a stride
     # slice of the outers of all four pairings) and keeps 5210 members,
     # most of them found by two pairings.  Workers are clamped to the CPU
-    # count, which reads 8 here, so on any machine 2, 3 and 8 workers run
-    # pools of that many processes and scan in at most 4, 6 and 16 slices
+    # count, which reads 8 here, so on any machine 2, 3 and 8 workers scan
+    # in at most 2, 3 and 8 slices, one per process
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
@@ -291,10 +294,10 @@ def test_parallel_combine_matches_sequential_at_every_pool_size(
 
 
 def test_every_root_scan_can_go_through_the_pool(monkeypatch) -> None:
-    # with no pair threshold the root's scan always runs in pool tasks: the
-    # deep holes' inner lists hold one point, so a task takes the flat scan,
-    # and the crafted word's one-point outer list leaves slices empty.  The
-    # CPU count reads 2, so 2 workers use the pool on any machine
+    # with no pair threshold the root's scan is always sliced: the deep
+    # holes' inner lists hold one point, so a slice takes the flat scan, and
+    # the crafted word's one-point outer list leaves a slice empty.  The
+    # CPU count reads 2, so 2 workers fork on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(decode, "_PAR_COMBINE_MIN", 0)
     rng = random.Random(8)
@@ -309,76 +312,65 @@ def test_every_root_scan_can_go_through_the_pool(monkeypatch) -> None:
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """A stand-in pool that runs every task in-process, so no process
-    starts.  It records the size of each pool the decode opens, the number
-    of words in each round of child decodes and the tasks of each sliced
-    pair scan."""
-    record = {"sizes": [], "rounds": [], "scans": []}
+def inline_fork_map(monkeypatch):
+    """An in-process stand-in for `decode._fork_map`, so no process
+    starts.  It records each map the decode makes as (fn, calls,
+    workers)."""
+    maps = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            record["sizes"].append(max_workers)
+    def fork_map(fn, calls, workers):
+        maps.append((fn, calls, workers))
+        return [fn(*args) for args in calls]
 
-        def shutdown(self):
-            pass
-
-        def map(self, fn, *iterables):
-            calls = list(zip(*iterables))
-            if fn is decode._decode_core:
-                record["rounds"].append(len(calls))
-            if fn is decode._scan_blocks:
-                record["scans"].append(
-                    [blocks for _, _, _, _, blocks, _ in calls])
-            return starmap(fn, calls)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return record
+    monkeypatch.setattr(decode, "_fork_map", fork_map)
+    return maps
 
 
 def test_pool_is_never_larger_than_the_machine(monkeypatch,
-                                               inline_pool) -> None:
-    # on a machine of 3 CPUs a million workers become a pool of 3
+                                               inline_fork_map) -> None:
+    # on a machine of 3 CPUs a million workers become 3
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
     assert (list_decode(r, eta, 10**6).to_lines()
             == list_decode(r, eta).to_lines())
-    assert inline_pool["sizes"] == [3]
+    assert {workers for _, _, workers in inline_fork_map} == {3}
     # r0's list is non-empty, so r1 and the transformed halves go as one
     # round; the crafted word's two transformed halves are the same word,
     # so the round decodes it once
-    assert inline_pool["rounds"] == [2]
-    # the level-5 root is sliced: at most two tasks per process, and every
-    # task gets only non-empty outer slices
-    scans = inline_pool["scans"]
+    assert [len(calls) for fn, calls, _ in inline_fork_map
+            if fn is decode._decode_core] == [2]
+    # the level-5 root is sliced: at most one slice per process, and every
+    # slice gets only non-empty outer slices
+    scans = [(calls, workers) for fn, calls, workers in inline_fork_map
+             if fn is decode._scan_blocks]
     assert scans
-    for tasks in scans:
-        assert 0 < len(tasks) <= 2 * inline_pool["sizes"][0]
-        assert all(task and all(outers for outers, _, _ in task)
-                   for task in tasks)
+    for calls, workers in scans:
+        assert 0 < len(calls) <= workers
+        assert all(blocks and all(outers for outers, _, _ in blocks)
+                   for _, _, _, _, blocks, _ in calls)
 
 
-def test_pool_skips_the_transformed_round(monkeypatch, inline_pool) -> None:
+def test_pool_skips_the_transformed_round(monkeypatch,
+                                          inline_fork_map) -> None:
     # at 1/4 the level-4 deep hole's plain halves, which are the same word,
-    # decode empty in-process, so the root sends no round and opens no
-    # pool: the zero word among its transformed halves would trip a cap of 0
+    # decode empty in-process, so the root sends no round and forks
+    # nothing: the zero word among its transformed halves would trip a cap
+    # of 0
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = CVector([HALF_PHI] * 16)
     eta = Fraction(1, 4)
     par = list_decode(r, eta, 2, max_list=0)
     assert len(par) == 0
     assert par.to_lines() == list_decode(r, eta, max_list=0).to_lines()
-    assert inline_pool["sizes"] == []
-    assert inline_pool["rounds"] == []
-    assert inline_pool["scans"] == []
+    assert inline_fork_map == []
 
 
-def test_counted_decode_opens_no_pool(monkeypatch, inline_pool) -> None:
+def test_counted_decode_opens_no_pool(monkeypatch, inline_fork_map) -> None:
     # a counted decode runs the literal recursion in-process at any worker
     # count: at 5/8 this word's r0 list holds 22 members, so the uncounted
-    # 2-worker decode sends a round to the pool, and the counted one must
-    # not.  The CPU count reads 2, so 2 workers use the pool on any machine
+    # 2-worker decode sends a round to _fork_map, and the counted one must
+    # not.  The CPU count reads 2, so 2 workers fork on any machine
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = random_word(random.Random(0), 4)
     eta = Fraction(5, 8)
@@ -386,27 +378,126 @@ def test_counted_decode_opens_no_pool(monkeypatch, inline_pool) -> None:
     lines = list_decode(r, eta, counter=one).to_lines()
     assert list_decode(r, eta, 2, counter=two).to_lines() == lines
     assert two.ops == one.ops > 0
-    assert inline_pool["sizes"] == []
+    assert inline_fork_map == []
     assert list_decode(r, eta, 2).to_lines() == lines
-    assert inline_pool["sizes"] == [2]
+    assert [workers for _, _, workers in inline_fork_map] == [2]
+
+
+@pytest.fixture
+def deadline():
+    """Fails the test with TimeoutError if it runs for more than 60 s, so
+    a decode that would hang cannot stall the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _root_scan_patched(monkeypatch, in_caller, in_child):
+    """Replaces the pair scan of lower_bound_instance(5, 1/4)'s root, whose
+    half-length is 16, by `in_caller` in this process and by `in_child` in
+    a forked one; every other scan runs as it is."""
+    scan = decode._scan_blocks
+    caller = os.getpid()
+
+    def patched(nums, den, half, limit, blocks, max_list):
+        if half != 16:
+            return scan(nums, den, half, limit, blocks, max_list)
+        return (in_caller if os.getpid() == caller else in_child)(max_list)
+
+    monkeypatch.setattr(decode, "_scan_blocks", patched)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_child_that_dies_without_its_result_is_reported(monkeypatch,
+                                                         deadline) -> None:
+    # the forked child of the root scan ends with exit status 1 and sends
+    # nothing: the decode names that status, and reaps the child
+    _root_scan_patched(monkeypatch, lambda max_list: {},
+                       lambda max_list: os._exit(1))
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    with pytest.raises(RuntimeError, match="exit status 1 ") as exc:
+        list_decode(r, Fraction(3, 4), 2)
+    assert not isinstance(exc.value, MaxListExceeded)
+    _assert_no_child_left()
+
+
+def test_cap_in_the_callers_slice_leaves_a_blocked_child(monkeypatch,
+                                                         deadline) -> None:
+    # the caller's own slice raises the cap while the child holds a result
+    # far over a pipe's 64 KiB buffer: the child is blocked writing it, and
+    # the decode must close the pipe, reap the child and raise at once
+    def in_caller(max_list):
+        time.sleep(0.2)
+        raise MaxListExceeded(max_list)
+
+    _root_scan_patched(monkeypatch, in_caller,
+                       lambda max_list: dict.fromkeys(range(10**5), 0))
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    start = time.perf_counter()
+    with pytest.raises(MaxListExceeded) as exc:
+        list_decode(r, Fraction(3, 4), 2, max_list=5000)
+    assert exc.value.limit == 5000
+    assert time.perf_counter() - start < 10
+    _assert_no_child_left()
+
+
+def test_fork_map_keeps_call_order() -> None:
+    # process k of w makes calls[k::w]: the results come back in call
+    # order, and of two calls that raise in different processes, the one
+    # the in-process loop meets first is re-raised
+    def square_unless_bad(i, bad):
+        if i in bad:
+            raise ValueError(i)
+        return i * i
+
+    for w in (2, 3):
+        assert (decode._fork_map(square_unless_bad,
+                                 [(i, ()) for i in range(7)], w)
+                == [i * i for i in range(7)])
+        for bad in ({1, 2}, {3, 4}):
+            with pytest.raises(ValueError) as exc:
+                decode._fork_map(square_unless_bad,
+                                 [(i, bad) for i in range(7)], w)
+            assert exc.value.args == (min(bad),), (w, bad)
+    _assert_no_child_left()
+
+
+def test_platform_without_fork_decodes_in_process(monkeypatch) -> None:
+    # without os.fork every worker count decodes in this process alone
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    eta = Fraction(3, 4)
+    assert list_decode(r, eta, 2).to_lines() == list_decode(r, eta).to_lines()
+    _assert_no_child_left()
 
 
 def test_pool_free_decode_loads_no_pool() -> None:
-    # a decode whose plain halves both decode empty sends no task, so it
-    # imports neither the pool nor multiprocessing; the CPU count reads 2,
-    # so 2 workers would use the pool on any machine
+    # a decode whose plain halves both decode empty forks nothing, and one
+    # that forks, the crafted word at 2 workers, forks without a pool:
+    # neither imports concurrent.futures or multiprocessing.  The CPU count
+    # reads 2, so 2 workers fork on any machine
     script = ("import os, sys\n"
               "from fractions import Fraction\n"
               "from bwlist.arith import CVector, QComplex\n"
               "from bwlist.decode import list_decode\n"
+              "from bwlist.rmcode import lower_bound_instance\n"
               "os.cpu_count = lambda: 2\n"
               "half_phi = QComplex(Fraction(1, 2), Fraction(1, 2))\n"
               "r = CVector([half_phi] * 16)\n"
               "assert len(list_decode(r, Fraction(1, 4), 2)) == 0\n"
+              "r = lower_bound_instance(5, Fraction(1, 4)).received\n"
+              "assert len(list_decode(r, Fraction(3, 4), 2)) == 5210\n"
               "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
               "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -533,15 +624,14 @@ def test_fast_decode_matches_literal_decode(case) -> None:
     # a cap of 2 only in subtrees the early exit skips, so the 2-worker
     # decode must skip them too.  In the second, r0's list of 22 fits a cap
     # of 22 and r_plus's 27 do not, so the 2-worker decode's cap fires in
-    # its pool round
+    # its forked round
     r, other, eta, other_eta, cap = case
     # the other word, which shares r's left half, is decoded uncounted
     # before and after r: a memo that outlived its decode would hand one
     # word's lists, found at one radius, to the other word's decode
     other_before = _lines_or_cap(other, other_eta, max_list=cap)
     fast = _lines_or_cap(r, eta, max_list=cap)
-    # the CPU count reads 2, so words of level >= 4 use the pool on any
-    # machine
+    # the CPU count reads 2, so words of level >= 4 fork on any machine
     with mock.patch.object(os, "cpu_count", lambda: 2):
         par = _lines_or_cap(r, eta, 2, max_list=cap)
     other_after = _lines_or_cap(other, other_eta, max_list=cap)
@@ -573,11 +663,12 @@ def test_trie_join_matches_brute_force_on_the_crafted_word() -> None:
     assert list_decode(r, eta).to_lines() == lines
 
 
-def test_every_scan_survivor_is_a_member(monkeypatch, inline_pool) -> None:
+def test_every_scan_survivor_is_a_member(monkeypatch,
+                                         inline_fork_map) -> None:
     # every point the pair scan assembles and keeps must be a lattice
     # member, on each of its three routes: flat (the level-2 deep hole,
     # whose transformed child lists hold one member), through a trie, and
-    # in the pool's stride slices
+    # in the root's stride slices
     scan = decode._scan_blocks
     survivors = {"flat": 0, "trie": 0}
 
@@ -597,7 +688,7 @@ def test_every_scan_survivor_is_a_member(monkeypatch, inline_pool) -> None:
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     assert list_decode(r, Fraction(3, 4), 2)
-    assert inline_pool["scans"]
+    assert any(fn is decode._scan_blocks for fn, _, _ in inline_fork_map)
     assert sum(survivors.values()) > before
 
 
