@@ -12,6 +12,14 @@ w = [w0, w1], knowing any one half plus the matching transform
 (phi/2)(w0 +/- w1) determines the other half linearly, which is what the
 four pairings in `_scan_blocks` implement.  Assembled candidates are
 always members; the exact distance filter then keeps those within radius.
+A member is found by every pairing whose two child lists hold its halves,
+and only the first of them in scan order 0+, 1+, 0-, 1- keeps it.  The
+halves' scaled distances add up: tot0 + tot1 = tot, and
+tot_plus + tot_minus = 4 tot, as the transformed words' den is doubled and
+|phi|^2 = 2.  So a pair's tot gives the exact distance of each half its
+pairing did not use, and the limit of that half's child decode tells
+whether an earlier pairing's list holds it.  Each member is assembled
+once.
 
 Internally everything runs on integer (re, im) pairs over one common
 denominator so that every comparison is an integer comparison.  The result
@@ -435,14 +443,23 @@ def _inner_trie(inners, den):
 
 
 def _scan_blocks(nums, den, half, limit, blocks, max_list):
-    """Survivors of the pair scan over `blocks` as {point: tot}.
+    """Survivors of the pair scan over `blocks` as a list of (point, tot),
+    each point once.
 
-    Each block is (outers, inners, pairing spec): every outer known half K
-    is tried against every inner transformed half T, the unknown half being
+    Each block is (outers, inners, spec), spec the pairing's
+    (t_sign, k_sign, unknown_left) from _PAIRING_SPECS followed by
+    (own0, own_p): every outer known half K is tried against every inner
+    transformed half T, the unknown half being
     w = t_sign * (1-i) * T + k_sign * K.  A pair's exact scaled distance
     accumulates coordinate by coordinate from K's stored total, the pair is
     dropped as soon as it exceeds `limit`, and only survivors are
-    reconstructed.
+    reconstructed.  A survivor is kept only if tot - K's tot exceeds own0
+    and 4 * tot - T's tot exceeds own_p.  Where K is w1, the first is
+    the scaled distance of w0 and own0 the limit of r0's decode; where T is
+    (phi/2)(w0 - w1), the second is that of (phi/2)(w0 + w1) and own_p the
+    limit of r_plus's.  So a member is kept by the first pairing in
+    scan order whose lists hold its halves, and by no other; -1 keeps every
+    survivor.
 
     An inner list shorter than _TRIE_MIN shares too few prefixes to pay for
     a trie and is scanned flat, pair by pair.  A longer one is put in a
@@ -455,18 +472,16 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     its partial total passes `limit`; a leaf scans the rest of its point
     flat.
 
-    A point found twice keeps its first tot (both are the same exact
-    distance).  The `max_list` cap is checked as each survivor is stored,
-    so the scan stops at the (max_list + 1)-th point rather than after the
-    last pair.
+    The `max_list` cap is checked as each survivor is stored, so the scan
+    stops at the (max_list + 1)-th point rather than after the last pair.
     """
-    out = {}
+    out = []
     trie_of = None
-    for outers, inners, (t_sign, k_sign, unknown_left) in blocks:
+    for outers, inners, (t_sign, k_sign, unknown_left, own0, own_p) in blocks:
         off = 0 if unknown_left else half
         if len(inners) < _TRIE_MIN:
             for known_pt, known_tot in outers:
-                for trans_pt, _ in inners:
+                for trans_pt, trans_tot in inners:
                     tot = known_tot
                     buf = []
                     for j in range(half):
@@ -482,9 +497,12 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
                             break
                         buf.append((wx, wy))
                     else:
+                        if (tot - known_tot <= own0
+                                or 4 * tot - trans_tot <= own_p):
+                            continue
                         body = tuple(buf)
-                        out.setdefault(body + known_pt if unknown_left
-                                       else known_pt + body, tot)
+                        out.append((body + known_pt if unknown_left
+                                    else known_pt + body, tot))
                         if max_list is not None and len(out) > max_list:
                             raise MaxListExceeded(max_list)
             continue
@@ -518,56 +536,61 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
                         if tot > limit:
                             break
                     else:
+                        trans_pt, trans_tot = inners[child]
+                        if (tot - known_tot <= own0
+                                or 4 * tot - trans_tot <= own_p):
+                            continue
                         body = tuple(
                             (t_sign * (c + d) + k_sign * a,
                              t_sign * (d - c) + k_sign * b)
-                            for (a, b), (c, d) in zip(known_pt,
-                                                      inners[child][0])
+                            for (a, b), (c, d) in zip(known_pt, trans_pt)
                         )
-                        out.setdefault(body + known_pt if unknown_left
-                                       else known_pt + body, tot)
+                        out.append((body + known_pt if unknown_left
+                                    else known_pt + body, tot))
                         if max_list is not None and len(out) > max_list:
                             raise MaxListExceeded(max_list)
     return out
 
 
 def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
-                  max_list, workers=1):
+                  max_list, workers):
     size = 1 << n
     if npairs == 0:
         return []
     half = size >> 1
     limit = (p * den * den * size) // q
+    # the limits of r0's and r_plus's decodes: a pairing owns a member only
+    # if an earlier pairing's lists miss its w0 or its plus transform
+    lim0 = (p * den * den * half) // q
+    lim_p = (p * 4 * den * den * half) // q
     # the pairings that share an inner list are adjacent, so the scan
     # builds one trie per inner list
     blocks = [
-        (outers, inners, _PAIRING_SPECS[pairing])
-        for pairing, outers, inners in (
-            ("0+", sub0, subp),
-            ("1+", sub1, subp),
-            ("0-", sub0, subm),
-            ("1-", sub1, subm),
+        (outers, inners, _PAIRING_SPECS[pairing] + own)
+        for pairing, outers, inners, own in (
+            ("0+", sub0, subp, (-1, -1)),
+            ("1+", sub1, subp, (lim0, -1)),
+            ("0-", sub0, subm, (-1, lim_p)),
+            ("1-", sub1, subm, (lim0, lim_p)),
         )
         if outers and inners
     ]
     if workers == 1 or npairs < _PAR_COMBINE_MIN:
-        out = _scan_blocks(nums, den, half, limit, blocks, max_list)
-    else:
-        # one slice per process: slice k scans outers[k::w] of every
-        # pairing and builds each inner trie once; it checks the cap on its
-        # own part, as a part over the cap puts the union over it.  A point
-        # that two slices find has the same exact tot in both.
-        slices = [[(outers[k::workers], inners, spec)
-                   for outers, inners, spec in blocks if len(outers) > k]
-                  for k in range(workers)]
-        out = {}
-        for part in _fork_map(_scan_blocks,
-                              [(nums, den, half, limit, blocks, max_list)
-                               for blocks in slices if blocks], workers):
-            out.update(part)
-        if max_list is not None and len(out) > max_list:
-            raise MaxListExceeded(max_list)
-    return list(out.items())
+        return _scan_blocks(nums, den, half, limit, blocks, max_list)
+    # one slice per process: slice k scans outers[k::w] of every pairing
+    # and builds each inner trie once; it checks the cap on its own part,
+    # as a part over the cap puts the whole over it.  A member's owning
+    # pairing and known half put it in exactly one part.
+    slices = [[(outers[k::workers], inners, spec)
+               for outers, inners, spec in blocks if len(outers) > k]
+              for k in range(workers)]
+    parts = _fork_map(_scan_blocks,
+                      [(nums, den, half, limit, blocks, max_list)
+                       for blocks in slices if blocks], workers)
+    out = [entry for part in parts for entry in part]
+    if max_list is not None and len(out) > max_list:
+        raise MaxListExceeded(max_list)
+    return out
 
 
 # ---------------------------------------------------------------------------

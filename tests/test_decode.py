@@ -206,11 +206,11 @@ def _assert_no_child_left() -> None:
 
 def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-4 lists (at most 1242)
-    # fit under both caps, and the top combine's 5210 members are found in
+    # fit under both caps, and the top combine's 5210 members are kept in
     # two stride slices, one in the caller and one in a forked child (the
-    # CPU count reads 2, so a 1-CPU machine forks too), whose parts hold at
-    # most 3226.  Cap 2000 fires inside a slice; under cap 5000 every part
-    # fits, and only the check on their union can fire.
+    # CPU count reads 2, so a 1-CPU machine forks too), whose parts hold
+    # 3225 and 1985.  Cap 2000 fires inside the caller's slice; under cap
+    # 5000 both parts fit, and only the check on their total can fire.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     for cap in (2000, 5000):
@@ -281,9 +281,9 @@ def test_parallel_combine_matches_sequential_at_every_pool_size(
     # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine examines
     # 161 460 pairs (over _PAR_COMBINE_MIN, so each process scans a stride
     # slice of the outers of all four pairings) and keeps 5210 members,
-    # most of them found by two pairings.  Workers are clamped to the CPU
-    # count, which reads 8 here, so on any machine 2, 3 and 8 workers scan
-    # in at most 2, 3 and 8 slices, one per process
+    # found by up to four pairings, kept by one.  Workers are clamped to
+    # the CPU count, which reads 8 here, so on any machine 2, 3 and 8
+    # workers scan in at most 2, 3 and 8 slices, one per process
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
@@ -418,7 +418,7 @@ def test_child_that_dies_without_its_result_is_reported(monkeypatch,
                                                          deadline) -> None:
     # the forked child of the root scan ends with exit status 1 and sends
     # nothing: the decode names that status, and reaps the child
-    _root_scan_patched(monkeypatch, lambda max_list: {},
+    _root_scan_patched(monkeypatch, lambda max_list: [],
                        lambda max_list: os._exit(1))
     r = lower_bound_instance(5, Fraction(1, 4)).received
     with pytest.raises(RuntimeError, match="exit status 1 ") as exc:
@@ -437,7 +437,7 @@ def test_cap_in_the_callers_slice_leaves_a_blocked_child(monkeypatch,
         raise MaxListExceeded(max_list)
 
     _root_scan_patched(monkeypatch, in_caller,
-                       lambda max_list: dict.fromkeys(range(10**5), 0))
+                       lambda max_list: [(i, 0) for i in range(10**5)])
     r = lower_bound_instance(5, Fraction(1, 4)).received
     start = time.perf_counter()
     with pytest.raises(MaxListExceeded) as exc:
@@ -666,17 +666,23 @@ def test_trie_join_matches_brute_force_on_the_crafted_word() -> None:
 def test_every_scan_survivor_is_a_member(monkeypatch,
                                          inline_fork_map) -> None:
     # every point the pair scan assembles and keeps must be a lattice
-    # member, on each of its three routes: flat (the level-2 deep hole,
-    # whose transformed child lists hold one member), through a trie, and
-    # in the root's stride slices
+    # member, kept once, on each of its three routes: flat (the level-2
+    # deep hole, whose transformed child lists hold one member), through a
+    # trie, and in the root's stride slices, which keep each member in one
+    # slice only
     scan = decode._scan_blocks
     survivors = {"flat": 0, "trie": 0}
+    root_parts = []
 
     def checked_scan(nums, den, half, limit, blocks, max_list):
         out = scan(nums, den, half, limit, blocks, max_list)
-        assert all(member_pairs(pt) for pt in out)
+        points = [pt for pt, _ in out]
+        assert all(member_pairs(pt) for pt in points)
+        assert len(set(points)) == len(points)
         trie = any(len(inners) >= _TRIE_MIN for _, inners, _ in blocks)
         survivors["trie" if trie else "flat"] += len(out)
+        if half == 16:
+            root_parts.append(len(out))
         return out
 
     monkeypatch.setattr(decode, "_scan_blocks", checked_scan)
@@ -687,9 +693,10 @@ def test_every_scan_survivor_is_a_member(monkeypatch,
     before = sum(survivors.values())
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
-    assert list_decode(r, Fraction(3, 4), 2)
+    assert len(list_decode(r, Fraction(3, 4), 2)) == 5210
     assert any(fn is decode._scan_blocks for fn, _, _ in inline_fork_map)
     assert sum(survivors.values()) > before
+    assert len(root_parts) == 2 and sum(root_parts) == 5210
 
 
 def _text_and_ops_per_scan_path(r: CVector, eta: Fraction):
