@@ -40,6 +40,19 @@ pruning of sphere decoding, run as a trie join).  Shorter inner lists, as
 on sparse words and the deep hole, share too little to pay for a trie and
 are scanned flat, pair by pair.
 
+Two bounds cut pairs the scan would visit only to drop.  The ownership
+limits filter the lists before the scan: a pair's tot is at most the
+radius's limit, so a known w1 whose own total leaves no room for a w0 past
+r0's limit feeds neither 1+ nor 1-, and a minus transform that leaves no
+room for a plus transform past r_plus's limit feeds neither 0- nor 1-;
+the filter is necessary, not sufficient, and the test after the scan
+stays.  In the trie walk, coordinate j's term |base_j - den (1-i) T_j|^2
+is at least its coset floor, the squared distance from base_j to the
+lattice den (1-i) Z[i], which reads the outer K only through the parity of
+K_j.re + K_j.im.  An outer whose total plus every floor passes the limit
+is skipped whole, and a trie edge at depth j is held to the limit less
+the floors of the coordinates after j.
+
 Operation-counting convention (CostCounter, reported as `decode.ops` by
 perfbench's traced run):
 
@@ -93,7 +106,7 @@ one worker.
 uncounted decode of level >= 4 with w > 1, on a platform with os.fork,
 gives its root w worker processes: the caller itself and w - 1 children
 forked by `_fork_map`, with no pool.  Each of the root's rounds and, when
-it has enough candidate pairs, its pair scan is one `_fork_map`: the
+it has enough pairs left to scan, its pair scan is one `_fork_map`: the
 calls are dealt round-robin, the caller makes its own share in-process,
 and each child inherits its arguments (the words, the memo, the child
 lists) by the fork, so nothing is pickled on the way in, and sends back
@@ -123,8 +136,8 @@ from bwlist.arith import (
 )
 from bwlist.lattice import BWPoint
 
-# slice the root's pair scan across the workers above this many candidate
-# pairs
+# slice the root's pair scan across the workers above this many pairs left
+# after the ownership filter
 _PAR_COMBINE_MIN = 50_000
 
 # join outers against a radix trie of any inner list at least this long;
@@ -288,10 +301,11 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
         if sub1 or counter is not None:
             subp, subm = _decode_round(((rp, den2), (rm, den2)), n - 1, p,
                                        q, counter, max_list, memo, workers)
-    npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
-    out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
-                        max_list, workers)
+    out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list,
+                        workers)
     if counter is not None:
+        # ops count every candidate pair, pruned or not
+        npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
         counter.ops += (2 + npairs) << n
     elif n >= 2:
         memo[nums, den] = out
@@ -442,6 +456,21 @@ def _inner_trie(inners, den):
     return root, keys
 
 
+def _coset_floor(x, y, den):
+    """min |(x, y) - den (1-i) T|^2 over every Gaussian integer T.
+
+    den (1-i) T runs over the (u, v) = (x - y, x + y) points with both
+    coordinates multiples of D = 2 den, and |z|^2 = (u^2 + v^2) / 2, so
+    each rotated coordinate is reduced to its nearest multiple of D; u and
+    v have one parity, so the halving is exact."""
+    d = den + den
+    u = x - y
+    v = x + y
+    u -= d * ((u + den) // d)
+    v -= d * ((v + den) // d)
+    return (u * u + v * v) >> 1
+
+
 def _scan_blocks(nums, den, half, limit, blocks, max_list):
     """Survivors of the pair scan over `blocks` as a list of (point, tot),
     each point once.
@@ -459,7 +488,9 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     (phi/2)(w0 - w1), the second is that of (phi/2)(w0 + w1) and own_p the
     limit of r_plus's.  So a member is kept by the first pairing in
     scan order whose lists hold its halves, and by no other; -1 keeps every
-    survivor.
+    survivor.  As tot <= `limit`, `_combine_core` has already dropped each
+    outer K with K's tot >= limit - own0 and each inner T with
+    T's tot >= 4 * limit - own_p, from which no pair can be kept.
 
     An inner list shorter than _TRIE_MIN shares too few prefixes to pay for
     a trie and is scanned flat, pair by pair.  A longer one is put in a
@@ -468,9 +499,13 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     scaled residual at coordinate j is
     t_sign * (t_sign * (R_j - k_sign * den * K_j) - key_j), so one base
     vector per outer turns every trie edge into a subtraction and a square.
-    The walk is depth first on an explicit stack and drops a subtree once
-    its partial total passes `limit`; a leaf scans the rest of its point
-    flat.
+    Each coordinate's term is at least its coset floor (`_coset_floor`),
+    one of two values per coordinate by the parity of K_j.re + K_j.im: an
+    outer whose total plus all its floors passes `limit` is skipped, and
+    caps[j], `limit` less the floors after coordinate j, bounds the partial
+    total through j.  The walk is depth first on an explicit stack and
+    drops a subtree once its partial total passes its depth's cap; a leaf
+    scans the rest of its point flat against `limit`.
 
     The `max_list` cap is checked as each survivor is stored, so the scan
     stops at the (max_list + 1)-th point rather than after the last pair.
@@ -510,18 +545,34 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
             trie_of, (root, keys) = inners, _inner_trie(inners, den)
         tk = t_sign * k_sign * den
         rs = [(t_sign * ra, t_sign * rb) for ra, rb in nums[off:off + half]]
+        # coordinate j's least term over every T_j, for K_j.re + K_j.im even
+        # and odd: den * K_j is in the lattice den (1-i) Z[i] just when even
+        floors = [(_coset_floor(xr, yr, den), _coset_floor(xr - den, yr, den))
+                  for xr, yr in rs]
         for known_pt, known_tot in outers:
+            # caps[j]: the most the total through coordinate j may be, as the
+            # coordinates after j add at least their floors
+            caps = [limit] * half
+            cap = limit
+            for j in range(half - 1, 0, -1):
+                a, b = known_pt[j]
+                cap -= floors[j][(a + b) & 1]
+                caps[j - 1] = cap
+            a, b = known_pt[0]
+            if known_tot > cap - floors[0][(a + b) & 1]:
+                continue
             base = [(xr - tk * a, yr - tk * b)
                     for (a, b), (xr, yr) in zip(known_pt, rs)]
             stack = [(root, 0, known_tot)]
             while stack:
                 node, j, acc = stack.pop()
                 bx, by = base[j]
+                cap = caps[j]
                 for (su, sv), child in node.items():
                     dx = bx - su
                     dy = by - sv
                     tot = acc + dx * dx + dy * dy
-                    if tot > limit:
+                    if tot > cap:
                         continue
                     if child.__class__ is dict:
                         stack.append((child, j + 1, tot))
@@ -552,19 +603,28 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     return out
 
 
-def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
-                  max_list, workers):
-    size = 1 << n
-    if npairs == 0:
+def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list,
+                  workers):
+    # with no transformed half there is no pair
+    if not (subp or subm):
         return []
+    size = 1 << n
     half = size >> 1
     limit = (p * den * den * size) // q
     # the limits of r0's and r_plus's decodes: a pairing owns a member only
-    # if an earlier pairing's lists miss its w0 or its plus transform
+    # if an earlier pairing's lists miss its w0 or its plus transform.  As
+    # tot <= limit, a w1 can feed 1+ and 1- only if its w0 may lie past
+    # lim0, and a minus transform can feed 0- and 1- only if its plus
+    # transform may lie past lim_p.  The filter is necessary, not
+    # sufficient: the scan still tests each survivor
     lim0 = (p * den * den * half) // q
     lim_p = (p * 4 * den * den * half) // q
-    # the pairings that share an inner list are adjacent, so the scan
-    # builds one trie per inner list
+    top = limit - lim0
+    sub1 = [e for e in sub1 if e[1] < top]
+    top = 4 * limit - lim_p
+    subm = [e for e in subm if e[1] < top]
+    # the pairings that share an inner list are adjacent and read the same
+    # list object, so the scan builds one trie per inner list
     blocks = [
         (outers, inners, _PAIRING_SPECS[pairing] + own)
         for pairing, outers, inners, own in (
@@ -575,7 +635,11 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, npairs,
         )
         if outers and inners
     ]
-    if workers == 1 or npairs < _PAR_COMBINE_MIN:
+    if not blocks:
+        return []
+    if (workers == 1 or sum(len(outers) * len(inners)
+                            for outers, inners, _ in blocks)
+            < _PAR_COMBINE_MIN):
         return _scan_blocks(nums, den, half, limit, blocks, max_list)
     # one slice per process: slice k scans outers[k::w] of every pairing
     # and builds each inner trie once; it checks the cap on its own part,

@@ -278,10 +278,11 @@ def test_parallel_matches_sequential_small() -> None:
 
 def test_parallel_combine_matches_sequential_at_every_pool_size(
         monkeypatch) -> None:
-    # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine examines
-    # 161 460 pairs (over _PAR_COMBINE_MIN, so each process scans a stride
-    # slice of the outers of all four pairings) and keeps 5210 members,
-    # found by up to four pairings, kept by one.  Workers are clamped to
+    # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine has 161 460
+    # candidate pairs, and the ownership limits leave 80 860 to scan (over
+    # _PAR_COMBINE_MIN, so each process scans a stride slice of the outers
+    # of all four pairings); it keeps 5210 members, found by up to four
+    # pairings, kept by one.  Workers are clamped to
     # the CPU count, which reads 8 here, so on any machine 2, 3 and 8
     # workers scan in at most 2, 3 and 8 slices, one per process
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -646,7 +647,18 @@ def test_fast_decode_matches_literal_decode(case) -> None:
 @given(_words_and_radii())
 @example((CVector([HALF_PHI] * 4), Fraction(1)))
 @example((random_word(random.Random(2), 2), Fraction(1)))
+@example((CVector([HALF_PHI] * 8), Fraction(1, 2)))
+@example((lower_bound_instance(3, Fraction(1, 4)).received, Fraction(3, 4)))
+@example((random_word(random.Random(1_000_008), 1), Fraction(9, 10)))
+@example((random_word(random.Random(1_000_009), 1), Fraction(9, 10)))
 def test_pair_scan_matches_brute_force_combine(case) -> None:
+    # the fixed examples put members where an ownership limit one unit off
+    # keeps a member twice or loses it: every member of the deep hole at
+    # 1/2 and both its halves lie on the radius, the crafted word's
+    # witnesses lie on 3/4, and the two level-1 words at 9/10, whose child
+    # limits are not whole, each have a member whose plus transform lies
+    # one unit past r_plus's limit, kept by 0- in the first and by 1- in
+    # the second
     r, eta = case
     lines, _ = _brute_force_combine(r, eta)
     assert list_decode(r, eta).to_lines() == lines
@@ -697,6 +709,74 @@ def test_every_scan_survivor_is_a_member(monkeypatch,
     assert any(fn is decode._scan_blocks for fn, _, _ in inline_fork_map)
     assert sum(survivors.values()) > before
     assert len(root_parts) == 2 and sum(root_parts) == 5210
+
+
+def test_ownership_limits_prune_pairs_before_the_scan(monkeypatch) -> None:
+    # every combine scans just the pairs of an outer and an inner that a
+    # pair on the radius could still have kept: a w1 whose w0 could lie
+    # past r0's own limit, a minus transform whose plus transform could lie
+    # past r_plus's.  The level-4 deep hole at 1/2 has w1s on that bound and
+    # the level-3 crafted word at 3/4 w1s one unit inside it and minus
+    # transforms on it and one unit inside it
+    combine, scan = decode._combine_core, decode._scan_blocks
+    ruled_in, scanned = [], []
+
+    def combine_spy(nums, den, n, p, q, sub0, sub1, subp, subm, *rest):
+        half = 1 << (n - 1)
+        limit = p * den * den * 2 * half // q
+        lim0 = p * den * den * half // q
+        lim_p = p * (2 * den) ** 2 * half // q
+        outers = len(sub0) + sum(limit - tot > lim0 for _, tot in sub1)
+        inners = len(subp) + sum(4 * limit - tot > lim_p for _, tot in subm)
+        ruled_in.append(outers * inners)
+        scanned.append(0)
+        return combine(nums, den, n, p, q, sub0, sub1, subp, subm, *rest)
+
+    def scan_spy(nums, den, half, limit, blocks, max_list):
+        scanned[-1] += sum(len(outers) * len(inners)
+                           for outers, inners, _ in blocks)
+        return scan(nums, den, half, limit, blocks, max_list)
+
+    deep_hole = CVector([HALF_PHI] * 16)
+    _, sizes = _brute_force_combine(deep_hole, Fraction(1, 2))
+    monkeypatch.setattr(decode, "_combine_core", combine_spy)
+    monkeypatch.setattr(decode, "_scan_blocks", scan_spy)
+    for r, eta in ((lower_bound_instance(3, Fraction(1, 4)).received,
+                    Fraction(3, 4)),
+                   (deep_hole, Fraction(1, 2))):
+        ruled_in.clear()
+        scanned.clear()
+        list_decode(r, eta)
+        assert scanned == ruled_in, (r, eta)
+    # at the deep hole's root every w1 lies on r1's radius, so the 1+ and 1-
+    # pairings get no outer and the scan visits half of the candidate pairs
+    # that the ops count
+    npairs = (sizes["0"] + sizes["1"]) * (sizes["+"] + sizes["-"])
+    assert npairs > 0 and scanned[-1] * 2 == npairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-200, 200), st.integers(-200, 200), st.integers(1, 12),
+       st.integers(-9, 9), st.integers(-9, 9), st.sampled_from((1, -1)))
+@example(0, 0, 1, 0, 0, 1)
+@example(1, 0, 1, 0, 0, 1)
+@example(3, -3, 2, 1, 0, -1)
+def test_coset_floor_is_the_least_term_over_every_inner_coordinate(
+        x, y, den, a, b, sign) -> None:
+    # the trie walk's floor for coordinate j is the least
+    # |base_j - den (1-i) T_j|^2 over every Gaussian integer T_j: a brute
+    # force over the T = c + d i around the nearest lattice point, where
+    # den (1-i) T = den (c + d, d - c)
+    floor = decode._coset_floor(x, y, den)
+    d2 = 2 * den
+    cs = range((x - y) // d2 - 1, (x - y) // d2 + 3)
+    ds = range((x + y) // d2 - 1, (x + y) // d2 + 3)
+    assert floor == min((x - den * (c + d)) ** 2 + (y - den * (d - c)) ** 2
+                        for c in cs for d in ds)
+    # base_j = R_j -/+ den K_j: the floor reads K_j only through the parity
+    # of K_j.re + K_j.im
+    assert (decode._coset_floor(x - sign * den * a, y - sign * den * b, den)
+            == decode._coset_floor(x - den * ((a + b) & 1), y, den))
 
 
 def _text_and_ops_per_scan_path(r: CVector, eta: Fraction):
