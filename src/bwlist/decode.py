@@ -104,21 +104,18 @@ one worker.
 
 `list_decode` clamps the worker count w to the CPU count, and an
 uncounted decode of level >= 4 with w > 1, on a platform with os.fork,
-gives its root w worker processes: the caller itself and w - 1 children
-forked by `_fork_map`, with no pool.  Each of the root's rounds and, when
-it has enough pairs left to scan, its pair scan is one `_fork_map`: the
+spreads each of its root's rounds over up to w processes: the caller
+itself and children forked by `_fork_map`, with no pool.  Each of the
+root's rounds is one `_fork_map`: the round decodes each distinct word
+not yet in the memo once, each with the in-process round's call; the
 calls are dealt round-robin, the caller makes its own share in-process,
-and each child inherits its arguments (the words, the memo, the child
-lists) by the fork, so nothing is pickled on the way in, and sends back
-its pickled results.  A round decodes each distinct word not yet in the
-memo once, each with the in-process round's call; the scan is cut into w
-stride slices, slice k taking every w-th outer of every pairing, so each
-process builds each inner trie just once.  Results and the first
-exception come back in call order, so the output and a cap are the same
-at every worker count.  The trade-off: a round has at most three words,
-so it uses at most three processes at any w, and the root's r0 runs
-before it; only the sliced scan uses all w.  Machines wider than two
-CPUs are unmeasured.
+and each child inherits its arguments (the words and the memo) by the
+fork, so nothing is pickled on the way in, and sends back its pickled
+results.  Results and the first exception come back in call order, so
+the output and a cap are the same at every worker count.  The root's r0
+and its pair scan run in the caller.  A round has at most three words,
+so it uses at most three processes at any w: w > 3 adds nothing.
+Machines wider than two CPUs are unmeasured.
 """
 
 from __future__ import annotations
@@ -135,10 +132,6 @@ from bwlist.arith import (
     vector_to_scaled,
 )
 from bwlist.lattice import BWPoint
-
-# slice the root's pair scan across the workers above this many pairs left
-# after the ownership filter
-_PAR_COMBINE_MIN = 50_000
 
 # join outers against a radix trie of any inner list at least this long;
 # shorter inner lists are scanned flat, pair by pair
@@ -253,9 +246,9 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     each node's ops after its combine.
 
     `workers` > 1, given to an uncounted root call only, spreads the
-    root's rounds and its large pair scan over that many processes: the
-    caller and forked children (`_fork_map`); see the module docstring.
-    Every call below the root runs in one process."""
+    root's rounds over up to that many processes: the caller and forked
+    children (`_fork_map`); see the module docstring.  The root's pair
+    scan and every call below the root run in one process."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -301,8 +294,7 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
         if sub1 or counter is not None:
             subp, subm = _decode_round(((rp, den2), (rm, den2)), n - 1, p,
                                        q, counter, max_list, memo, workers)
-    out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list,
-                        workers)
+    out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list)
     if counter is not None:
         # ops count every candidate pair, pruned or not
         npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
@@ -603,8 +595,7 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     return out
 
 
-def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list,
-                  workers):
+def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list):
     # with no transformed half there is no pair
     if not (subp or subm):
         return []
@@ -635,26 +626,7 @@ def _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list,
         )
         if outers and inners
     ]
-    if not blocks:
-        return []
-    if (workers == 1 or sum(len(outers) * len(inners)
-                            for outers, inners, _ in blocks)
-            < _PAR_COMBINE_MIN):
-        return _scan_blocks(nums, den, half, limit, blocks, max_list)
-    # one slice per process: slice k scans outers[k::w] of every pairing
-    # and builds each inner trie once; it checks the cap on its own part,
-    # as a part over the cap puts the whole over it.  A member's owning
-    # pairing and known half put it in exactly one part.
-    slices = [[(outers[k::workers], inners, spec)
-               for outers, inners, spec in blocks if len(outers) > k]
-              for k in range(workers)]
-    parts = _fork_map(_scan_blocks,
-                      [(nums, den, half, limit, blocks, max_list)
-                       for blocks in slices if blocks], workers)
-    out = [entry for part in parts for entry in part]
-    if max_list is not None and len(out) > max_list:
-        raise MaxListExceeded(max_list)
-    return out
+    return _scan_blocks(nums, den, half, limit, blocks, max_list)
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +653,14 @@ def list_decode(
     lists the uncounted one skips.
 
     `workers` is clamped to the CPU count w.  An uncounted decode of a word
-    of level 4 or more with w > 1 spreads its root's rounds and large pair
-    scan over w processes: the caller and w - 1 children it forks for
-    each, and reaps on every exit, a raised cap included.  There is no
-    pool.  Where os.fork is missing the decode runs in-process.  The
-    decoder starts no thread; a threaded caller that passes w > 1 takes
-    on the usual hazards of forking a threaded process.  The output is
-    the same, byte for byte, at every worker count."""
+    of level 4 or more with w > 1 spreads each of its root's rounds, at
+    most three child decodes, over up to w processes: the caller and the
+    children it forks for the round, and reaps on every exit, a raised cap
+    included.  There is no pool.  The root's pair scan runs in the caller.
+    Where os.fork is missing the decode runs in-process.  The decoder
+    starts no thread; a threaded caller that passes w > 1 takes on the
+    usual hazards of forking a threaded process.  The output is the same,
+    byte for byte, at every worker count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     eta = Fraction(eta)

@@ -227,9 +227,9 @@ def test_07_operation_count_scales_as_grid_squared() -> None:
 
 def test_08_worker_count_never_changes_output(monkeypatch) -> None:
     # workers are clamped to the CPU count, which reads 8 here, so on any
-    # machine 8 workers decode the cells of level >= 4 in 8 processes, the
-    # caller and 7 forked children, whose large root scans take 8 slices,
-    # not the same run as 2 workers
+    # machine a root round of three words at level >= 4 takes three
+    # processes at 8 workers, the caller and 2 forked children, one word
+    # each, not the same run as 2 workers, which deal three words over two
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     failures = []
     cells = 0

@@ -90,9 +90,9 @@ def test_decode_cap_ignores_a_skipped_subtree(capsys, monkeypatch) -> None:
 def test_decode_cap_message_is_the_same_at_every_worker_count(
         capsys, monkeypatch) -> None:
     # the crafted word's top combine finds 5210 members; at 2 workers (the
-    # CPU count reads 2, so the decode forks on any machine) they are kept
-    # in stride slices that each fit under the cap, and the check on their
-    # total must report the size the sequential scan stops at
+    # CPU count reads 2, so the decode forks its root's round on any
+    # machine) every child list fits under the cap, and the root's scan,
+    # run in the caller, must stop at the size the sequential scan does
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     word = format_vector(lower_bound_instance(5, Fraction(1, 4)).received)
     runs = [_run(["decode", "--eta", "3/4", "--max-list", "5000",

@@ -205,15 +205,16 @@ def _assert_no_child_left() -> None:
 
 
 def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
-    # lower_bound_instance(5, 1/4) at 3/4: the level-4 lists (at most 1242)
-    # fit under both caps, and the top combine's 5210 members are kept in
-    # two stride slices, one in the caller and one in a forked child (the
-    # CPU count reads 2, so a 1-CPU machine forks too), whose parts hold
-    # 3225 and 1985.  Cap 2000 fires inside the caller's slice; under cap
-    # 5000 both parts fit, and only the check on their total can fire.
+    # lower_bound_instance(5, 1/4) at 3/4 at 2 workers (the CPU count reads
+    # 2, so a 1-CPU machine forks too): the caller decodes r0 (no list
+    # past 64), then the root's round gives r1 (1 member) to the caller and
+    # r_plus, which equals r_minus, to a forked child, whose lists grow to
+    # 1242.  Cap 1000 fires inside that child's decode and comes back
+    # through its pipe.  Caps 2000 and 5000 fit every child list and fire
+    # in the root's pair scan, which keeps 5210 members in the caller.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
-    for cap in (2000, 5000):
+    for cap in (1000, 2000, 5000):
         with pytest.raises(MaxListExceeded) as exc:
             list_decode(r, Fraction(3, 4), 2, max_list=cap)
         assert exc.value.limit == cap
@@ -263,28 +264,42 @@ def test_cost_counter_is_deterministic_and_positive() -> None:
     assert a.ops > 0
 
 
-def test_parallel_matches_sequential_small() -> None:
+def test_parallel_matches_sequential_small(monkeypatch) -> None:
+    # 2 workers fork the root's rounds (the CPU count reads 2, so on any
+    # machine) and give the output of one worker: on a level-4 word of
+    # small fractions, on the level-4 and level-5 deep holes, whose inner
+    # lists hold one point, so the root scans flat, on the level-4 crafted
+    # word, whose root has a one-point outer list, and on two random
+    # level-5 words
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rng = random.Random(6)
 
     def coord() -> QComplex:
         return QComplex(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))),
                         Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))))
 
-    r = CVector(coord() for _ in range(16))
-    seq = list_decode(r, Fraction(1, 2))
-    par = list_decode(r, Fraction(1, 2), 2)
-    assert seq.to_lines() == par.to_lines()
+    cases = [(CVector(coord() for _ in range(16)), Fraction(1, 2))]
+    rng = random.Random(8)
+    cases += [(CVector([HALF_PHI] * 16), Fraction(1, 2)),
+              (CVector([HALF_PHI] * 32), Fraction(1, 2)),
+              (lower_bound_instance(4, Fraction(1, 4)).received,
+               Fraction(3, 4)),
+              (random_word(rng, 5), Fraction(3, 4)),
+              (random_word(rng, 5), Fraction(3, 4))]
+    for r, eta in cases:
+        assert (list_decode(r, eta, 2).to_lines()
+                == list_decode(r, eta).to_lines())
 
 
 def test_parallel_combine_matches_sequential_at_every_pool_size(
         monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine has 161 460
-    # candidate pairs, and the ownership limits leave 80 860 to scan (over
-    # _PAR_COMBINE_MIN, so each process scans a stride slice of the outers
-    # of all four pairings); it keeps 5210 members, found by up to four
-    # pairings, kept by one.  Workers are clamped to
-    # the CPU count, which reads 8 here, so on any machine 2, 3 and 8
-    # workers scan in at most 2, 3 and 8 slices, one per process
+    # candidate pairs, and the ownership limits leave 80 860 for the
+    # caller to scan; it keeps 5210 members, found by up to four pairings,
+    # kept by one.  Workers are clamped to the CPU count, which reads 8
+    # here, so on any machine 2, 3 and 8 workers fork the root's round;
+    # its distinct words are r1 and r_plus, which equals r_minus, so each
+    # forks one child
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
@@ -292,24 +307,6 @@ def test_parallel_combine_matches_sequential_at_every_pool_size(
     assert len(seq) == 5210
     for workers in (2, 3, 8):
         assert list_decode(r, eta, workers).to_lines() == seq, workers
-
-
-def test_every_root_scan_can_go_through_the_pool(monkeypatch) -> None:
-    # with no pair threshold the root's scan is always sliced: the deep
-    # holes' inner lists hold one point, so a slice takes the flat scan, and
-    # the crafted word's one-point outer list leaves a slice empty.  The
-    # CPU count reads 2, so 2 workers fork on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(decode, "_PAR_COMBINE_MIN", 0)
-    rng = random.Random(8)
-    cases = [(CVector([HALF_PHI] * 16), Fraction(1, 2)),
-             (CVector([HALF_PHI] * 32), Fraction(1, 2)),
-             (lower_bound_instance(4, Fraction(1, 4)).received, Fraction(3, 4)),
-             (random_word(rng, 5), Fraction(3, 4)),
-             (random_word(rng, 5), Fraction(3, 4))]
-    for r, eta in cases:
-        assert (list_decode(r, eta, 2).to_lines()
-                == list_decode(r, eta).to_lines())
 
 
 @pytest.fixture
@@ -341,15 +338,8 @@ def test_pool_is_never_larger_than_the_machine(monkeypatch,
     # so the round decodes it once
     assert [len(calls) for fn, calls, _ in inline_fork_map
             if fn is decode._decode_core] == [2]
-    # the level-5 root is sliced: at most one slice per process, and every
-    # slice gets only non-empty outer slices
-    scans = [(calls, workers) for fn, calls, workers in inline_fork_map
-             if fn is decode._scan_blocks]
-    assert scans
-    for calls, workers in scans:
-        assert 0 < len(calls) <= workers
-        assert all(blocks and all(outers for outers, _, _ in blocks)
-                   for _, _, _, _, blocks, _ in calls)
+    # the root's pair scan runs in the caller: no map carries it
+    assert not any(fn is decode._scan_blocks for fn, _, _ in inline_fork_map)
 
 
 def test_pool_skips_the_transformed_round(monkeypatch,
@@ -399,50 +389,37 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
-def _root_scan_patched(monkeypatch, in_caller, in_child):
-    """Replaces the pair scan of lower_bound_instance(5, 1/4)'s root, whose
-    half-length is 16, by `in_caller` in this process and by `in_child` in
-    a forked one; every other scan runs as it is."""
-    scan = decode._scan_blocks
+def test_child_that_dies_without_its_result_is_reported(deadline) -> None:
+    # the forked child, which makes call 1, ends with exit status 1 and
+    # sends nothing: _fork_map names that status, and reaps the child
     caller = os.getpid()
 
-    def patched(nums, den, half, limit, blocks, max_list):
-        if half != 16:
-            return scan(nums, den, half, limit, blocks, max_list)
-        return (in_caller if os.getpid() == caller else in_child)(max_list)
+    def dies_in_the_child(i):
+        if os.getpid() != caller:
+            os._exit(1)
+        return i
 
-    monkeypatch.setattr(decode, "_scan_blocks", patched)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-
-def test_child_that_dies_without_its_result_is_reported(monkeypatch,
-                                                         deadline) -> None:
-    # the forked child of the root scan ends with exit status 1 and sends
-    # nothing: the decode names that status, and reaps the child
-    _root_scan_patched(monkeypatch, lambda max_list: [],
-                       lambda max_list: os._exit(1))
-    r = lower_bound_instance(5, Fraction(1, 4)).received
     with pytest.raises(RuntimeError, match="exit status 1 ") as exc:
-        list_decode(r, Fraction(3, 4), 2)
+        decode._fork_map(dies_in_the_child, [(0,), (1,)], 2)
     assert not isinstance(exc.value, MaxListExceeded)
     _assert_no_child_left()
 
 
-def test_cap_in_the_callers_slice_leaves_a_blocked_child(monkeypatch,
-                                                         deadline) -> None:
-    # the caller's own slice raises the cap while the child holds a result
+def test_cap_in_the_callers_slice_leaves_a_blocked_child(deadline) -> None:
+    # the caller's own call raises the cap while the child holds a result
     # far over a pipe's 64 KiB buffer: the child is blocked writing it, and
-    # the decode must close the pipe, reap the child and raise at once
-    def in_caller(max_list):
+    # _fork_map must close the pipe, reap the child and raise at once
+    caller = os.getpid()
+
+    def scan(max_list):
+        if os.getpid() != caller:
+            return [(i, 0) for i in range(10**5)]
         time.sleep(0.2)
         raise MaxListExceeded(max_list)
 
-    _root_scan_patched(monkeypatch, in_caller,
-                       lambda max_list: [(i, 0) for i in range(10**5)])
-    r = lower_bound_instance(5, Fraction(1, 4)).received
     start = time.perf_counter()
     with pytest.raises(MaxListExceeded) as exc:
-        list_decode(r, Fraction(3, 4), 2, max_list=5000)
+        decode._fork_map(scan, [(5000,), (5000,)], 2)
     assert exc.value.limit == 5000
     assert time.perf_counter() - start < 10
     _assert_no_child_left()
@@ -678,10 +655,11 @@ def test_trie_join_matches_brute_force_on_the_crafted_word() -> None:
 def test_every_scan_survivor_is_a_member(monkeypatch,
                                          inline_fork_map) -> None:
     # every point the pair scan assembles and keeps must be a lattice
-    # member, kept once, on each of its three routes: flat (the level-2
-    # deep hole, whose transformed child lists hold one member), through a
-    # trie, and in the root's stride slices, which keep each member in one
-    # slice only
+    # member, kept once, on both of its routes: flat (the level-2 deep
+    # hole, whose transformed child lists hold one member) and through a
+    # trie.  The crafted level-5 word at 2 workers, its round made
+    # in-process here so that every scan is checked, scans its root in
+    # one part of 5210
     scan = decode._scan_blocks
     survivors = {"flat": 0, "trie": 0}
     root_parts = []
@@ -706,9 +684,8 @@ def test_every_scan_survivor_is_a_member(monkeypatch,
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     assert len(list_decode(r, Fraction(3, 4), 2)) == 5210
-    assert any(fn is decode._scan_blocks for fn, _, _ in inline_fork_map)
     assert sum(survivors.values()) > before
-    assert len(root_parts) == 2 and sum(root_parts) == 5210
+    assert root_parts == [5210]
 
 
 def test_ownership_limits_prune_pairs_before_the_scan(monkeypatch) -> None:
