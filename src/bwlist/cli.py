@@ -173,7 +173,10 @@ def build_parser() -> _Parser:
                    help="relative squared radius, e.g. 1/2")
     p.add_argument("--n", type=integer,
                    help="expected level of the input vector")
-    p.add_argument("--workers", type=integer, default=1)
+    p.add_argument("--workers", type=integer, default=1,
+                   help="1 (default) decodes in-process; more forks one "
+                        "helper for the root's child decodes, with "
+                        "identical output")
     p.add_argument("--max-list", type=integer, dest="max_list",
                    help="abort (exit 2) if any list exceeds this size")
     add_io(p)

@@ -99,22 +99,20 @@ recursion, `_decode_core`, with one child schedule: r0 first; then, when
 r0's list is non-empty, r1, r_plus and r_minus as one round
 (`_decode_round`); otherwise r1 alone, and r_plus and r_minus as one
 round only when r1's list is non-empty or the decode is counted.  A round
-decodes its words in order, in-process, unless the node has more than
-one worker.
+decodes its words in order, in-process, unless the node forks.
 
-`list_decode` clamps the worker count w to the CPU count, and an
-uncounted decode of level >= 4 with w > 1, on a platform with os.fork,
-spreads each of its root's rounds over up to w processes: the caller
-itself and children forked by `_fork_map`, with no pool.  Each of the
-root's rounds is one `_fork_map`: the round decodes each distinct word
-not yet in the memo once, each with the in-process round's call; the
-calls are dealt round-robin, the caller makes its own share in-process,
-and each child inherits its arguments (the words and the memo) by the
-fork, so nothing is pickled on the way in, and sends back its pickled
-results.  Results and the first exception come back in call order, so
-the output and a cap are the same at every worker count.  The root's r0
-and its pair scan run in the caller.  A round has at most three words,
-so it uses at most three processes at any w: w > 3 adds nothing.
+`list_decode` decides once whether a decode forks: only when the worker
+count, clamped to the CPU count, is above 1, the word's level is at
+least 4, the decode is uncounted and the platform has os.fork.  Then
+each of the root's rounds is one `_fork_map`: the round decodes each
+distinct word not yet in the memo once, each with the in-process round's
+call; the caller decodes every word but the last in-process, and one
+forked child, with no pool, decodes the last.  The child inherits its
+arguments (the word and the memo) by the fork, so nothing is pickled on
+the way in, and sends back its pickled result.  The caller's calls come
+first in call order, so the output and a cap are the same at every
+worker count.  The root's r0 and its pair scan run in the caller.  A
+decode uses at most two processes at any w: w > 2 adds nothing.
 Machines wider than two CPUs are unmeasured.
 """
 
@@ -234,7 +232,7 @@ def _split_words(nums, den, n):
 
 
 def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
-                 workers=1):
+                 fork=False):
     """Returns [(point, tot)]: tot is the exact scaled squared distance
     sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
 
@@ -245,10 +243,11 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     mutated.  A counted call neither reads nor writes a memo, and adds
     each node's ops after its combine.
 
-    `workers` > 1, given to an uncounted root call only, spreads the
-    root's rounds over up to that many processes: the caller and forked
-    children (`_fork_map`); see the module docstring.  The root's pair
-    scan and every call below the root run in one process."""
+    `fork`, given to an uncounted root call only, makes each of the
+    root's rounds with `_fork_map`: the caller decodes every word of the
+    round but the last, and one forked child the last; see the module
+    docstring.  The root's pair scan and every call below the root run in
+    one process."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -284,7 +283,7 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
         # r0's list needs every other child
         sub1, subp, subm = _decode_round(
             ((r1, den), (rp, den2), (rm, den2)), n - 1, p, q, counter,
-            max_list, memo, workers)
+            max_list, memo, fork)
     else:
         sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
         # with empty r0 and r1 lists no pair has a known half: the list is
@@ -293,7 +292,7 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
         subp = subm = []
         if sub1 or counter is not None:
             subp, subm = _decode_round(((rp, den2), (rm, den2)), n - 1, p,
-                                       q, counter, max_list, memo, workers)
+                                       q, counter, max_list, memo, fork)
     out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list)
     if counter is not None:
         # ops count every candidate pair, pruned or not
@@ -304,107 +303,74 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     return out
 
 
-def _decode_round(words, n, p, q, counter, max_list, memo, workers):
+def _decode_round(words, n, p, q, counter, max_list, memo, fork):
     """The lists of `words`, (nums, den) pairs of level n, in order.
 
-    With one worker each word is decoded in-process, in order, with the
-    decode's counter and memo.  With more (an uncounted decode's root),
-    the distinct words not in the memo are decoded by `_fork_map`, each
-    with the call the in-process round makes: a child decodes with a
-    copy-on-write copy of the memo, and a cap raised in any of them comes
-    out where the in-process round would raise it."""
-    if workers == 1:
+    Without `fork` each word is decoded in-process, in order, with the
+    decode's counter and memo.  With it (an uncounted decode's root), the
+    distinct words not in the memo are decoded by `_fork_map`, each with
+    the call the in-process round makes: the forked child decodes with a
+    copy-on-write copy of the memo, and a cap raised in either process
+    comes out where the in-process round would raise it."""
+    if not fork:
         return [_decode_core(nums, den, n, p, q, counter, max_list, memo)
                 for nums, den in words]
     todo = [key for key in dict.fromkeys(words) if key not in memo]
     lists = _fork_map(_decode_core,
                       [(nums, den, n, p, q, counter, max_list, memo)
-                       for nums, den in todo], workers)
+                       for nums, den in todo])
     memo.update(zip(todo, lists))
     return [memo[key] for key in words]
 
 
-def _run_calls(fn, calls):
-    """(results, exc): fn's results on `calls` in order up to the first
-    call that raises an Exception, and that exception, or None."""
-    results = []
-    try:
-        for args in calls:
-            results.append(fn(*args))
-    except Exception as exc:
-        return results, exc
-    return results, None
+def _fork_map(fn, calls):
+    """[fn(*c) for c in calls]: the caller makes calls[:-1] in order, and
+    one forked child makes calls[-1]; fewer than two calls fork nothing.
 
-
-def _fork_map(fn, calls, workers):
-    """[fn(*c) for c in calls], made by w = min(workers, len(calls))
-    processes: process k makes calls[k::w] in order.
-
-    Process 0 is the caller; processes 1 .. w-1 are forked children,
-    which inherit their arguments, send back their pickled results
-    through a pipe and leave through os._exit.  The first exception in
-    call order is re-raised, where the in-process loop would raise it: a
-    child whose calls all come after it is not waited for.  A child that
-    ends without sending its result raises RuntimeError.  Every child is
-    reaped on every exit; the read ends are closed first, so a child
-    blocked writing a result nobody reads gets EPIPE and ends."""
-    w = min(workers, len(calls))
-    if w < 2:
+    The child inherits its arguments, sends back its pickled
+    (result, exception) through a pipe and leaves through os._exit.  An
+    exception in the caller's calls is raised at once, without reading
+    the child, and one the child sends back is re-raised, so the first
+    exception in call order comes out.  A child that ends without sending
+    its result raises RuntimeError.  The child is reaped on every exit;
+    the read end is closed first, so a child blocked writing a result
+    nobody reads gets EPIPE and ends."""
+    if len(calls) < 2:
         return [fn(*args) for args in calls]
     import pickle
 
-    pids, readers = [], []
-    lost = None
-    try:
-        for k in range(1, w):
-            rfd, wfd = os.pipe()
-            readers.append(open(rfd, "rb"))
-            with open(wfd, "wb") as writer:
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
+    rfd, wfd = os.pipe()
+    with open(rfd, "rb") as reader:
+        with open(wfd, "wb") as writer:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    reader.close()
                     try:
-                        # a read end held open here, a sibling's or its own,
-                        # would keep a writer from seeing EPIPE
-                        for reader in readers:
-                            reader.close()
-                        pickle.dump(_run_calls(fn, calls[k::w]), writer,
-                                    pickle.HIGHEST_PROTOCOL)
-                        writer.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-            pids.append(pid)
-        results, error = _run_calls(fn, calls[::w])
-        parts = [results]
-        # the index of the first call that raised, len(calls) if none did
-        first = len(calls) if error is None else len(results) * w
-        for k, (pid, reader) in enumerate(zip(pids, readers), 1):
-            if k >= first:
-                break
+                        sent = fn(*calls[-1]), None
+                    except Exception as exc:
+                        sent = None, exc
+                    pickle.dump(sent, writer, pickle.HIGHEST_PROTOCOL)
+                    writer.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+        try:
+            results = [fn(*args) for args in calls[:-1]]
             data = reader.read()
-            if not data:
-                lost = pid
-                break
-            results, exc = pickle.loads(data)
-            parts.append(results)
-            if exc is not None and k + len(results) * w < first:
-                first, error = k + len(results) * w, exc
-    finally:
-        for reader in readers:
+        finally:
             reader.close()
-        statuses = {pid: os.waitpid(pid, 0)[1] for pid in pids}
-    if lost is not None:
+            status = os.waitpid(pid, 0)[1]
+    if not data:
         raise RuntimeError(
-            f"worker process {lost} ended with exit status "
-            f"{os.waitstatus_to_exitcode(statuses[lost])} before sending "
-            f"its result")
+            f"worker process {pid} ended with exit status "
+            f"{os.waitstatus_to_exitcode(status)} before sending its result")
+    result, error = pickle.loads(data)
     if error is not None:
         raise error
-    out = [None] * len(calls)
-    for k, results in enumerate(parts):
-        out[k::w] = results
-    return out
+    results.append(result)
+    return results
 
 
 # Per pairing: which child lists pair up, the reconstruction signs for the
@@ -653,11 +619,12 @@ def list_decode(
     lists the uncounted one skips.
 
     `workers` is clamped to the CPU count w.  An uncounted decode of a word
-    of level 4 or more with w > 1 spreads each of its root's rounds, at
-    most three child decodes, over up to w processes: the caller and the
-    children it forks for the round, and reaps on every exit, a raised cap
-    included.  There is no pool.  The root's pair scan runs in the caller.
-    Where os.fork is missing the decode runs in-process.  The decoder
+    of level 4 or more with w > 1 splits each of its root's rounds, at
+    most three child decodes, between the caller, which makes all but the
+    last, and one child it forks for the last, and reaps that child on
+    every exit, a raised cap included; w > 2 adds nothing.  There is no
+    pool.  The root's pair scan runs in the caller.  Where os.fork is
+    missing the decode runs in-process.  The decoder
     starts no thread; a threaded caller that passes w > 1 takes on the
     usual hazards of forking a threaded process.  The output is the same,
     byte for byte, at every worker count."""
@@ -668,15 +635,13 @@ def list_decode(
         raise ValueError("radius must be >= 0")
     if max_list is not None and max_list < 0:
         raise ValueError("max_list must be >= 0")
-    # each worker past the first is a forked process: no more than the
-    # machine has, and none where the platform cannot fork
-    workers = min(workers, os.cpu_count() or 1)
-    # a counted decode stays the in-process recursion at any worker count
-    if r.n < 4 or counter is not None or not hasattr(os, "fork"):
-        workers = 1
+    # fork only on a machine with a second CPU and a platform that can,
+    # and never in a counted decode: it stays the in-process recursion
+    fork = (min(workers, os.cpu_count() or 1) > 1 and r.n >= 4
+            and counter is None and hasattr(os, "fork"))
     nums, den = vector_to_scaled(r)
     pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
-                       counter, max_list, workers=workers)
+                       counter, max_list, fork=fork)
     return DecodeList(len(r), den, pts)
 
 

@@ -227,9 +227,9 @@ def test_07_operation_count_scales_as_grid_squared() -> None:
 
 def test_08_worker_count_never_changes_output(monkeypatch) -> None:
     # workers are clamped to the CPU count, which reads 8 here, so on any
-    # machine a root round of three words at level >= 4 takes three
-    # processes at 8 workers, the caller and 2 forked children, one word
-    # each, not the same run as 2 workers, which deal three words over two
+    # machine 2 and 8 workers both fork at level >= 4: each takes the same
+    # two processes, the caller, which decodes every word of a root round
+    # but the last, and one forked child, which decodes the last
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     failures = []
     cells = 0

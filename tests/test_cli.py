@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from bwlist.arith import format_vector
 from bwlist.cli import EXIT_INTERNAL, EXIT_MAX_LIST, EXIT_OK, EXIT_USAGE, main
 from bwlist.rmcode import lower_bound_instance
@@ -70,6 +72,14 @@ def test_decode_workers_flag(capsys, monkeypatch) -> None:
     code, _, err = _run(["decode", "--eta", "1/2", "--workers", "0"], capsys,
                         stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
+    # the help says what the count does: more than 1 forks one helper
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--workers WORKERS 1 (default) decodes in-process; more forks "
+            "one helper for the root's child decodes, with identical "
+            "output") in text
 
 
 def test_decode_max_list_exit_code(capsys, monkeypatch) -> None:

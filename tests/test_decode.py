@@ -204,7 +204,7 @@ def _assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_combine_cap_fires_on_the_pool_path(monkeypatch) -> None:
+def test_combine_cap_fires_on_the_fork_path(monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4 at 2 workers (the CPU count reads
     # 2, so a 1-CPU machine forks too): the caller decodes r0 (no list
     # past 64), then the root's round gives r1 (1 member) to the caller and
@@ -291,15 +291,15 @@ def test_parallel_matches_sequential_small(monkeypatch) -> None:
                 == list_decode(r, eta).to_lines())
 
 
-def test_parallel_combine_matches_sequential_at_every_pool_size(
+def test_forked_decode_matches_sequential_at_every_worker_count(
         monkeypatch) -> None:
     # lower_bound_instance(5, 1/4) at 3/4: the level-5 combine has 161 460
     # candidate pairs, and the ownership limits leave 80 860 for the
     # caller to scan; it keeps 5210 members, found by up to four pairings,
     # kept by one.  Workers are clamped to the CPU count, which reads 8
     # here, so on any machine 2, 3 and 8 workers fork the root's round;
-    # its distinct words are r1 and r_plus, which equals r_minus, so each
-    # forks one child
+    # its distinct words are r1 and r_plus, which equals r_minus: the
+    # caller decodes r1 and one forked child r_plus, at every count
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     r = lower_bound_instance(5, Fraction(1, 4)).received
     eta = Fraction(3, 4)
@@ -312,38 +312,59 @@ def test_parallel_combine_matches_sequential_at_every_pool_size(
 @pytest.fixture
 def inline_fork_map(monkeypatch):
     """An in-process stand-in for `decode._fork_map`, so no process
-    starts.  It records each map the decode makes as (fn, calls,
-    workers)."""
+    starts.  It records each map the decode makes as (fn, calls)."""
     maps = []
 
-    def fork_map(fn, calls, workers):
-        maps.append((fn, calls, workers))
+    def fork_map(fn, calls):
+        maps.append((fn, calls))
         return [fn(*args) for args in calls]
 
     monkeypatch.setattr(decode, "_fork_map", fork_map)
     return maps
 
 
-def test_pool_is_never_larger_than_the_machine(monkeypatch,
-                                               inline_fork_map) -> None:
-    # on a machine of 3 CPUs a million workers become 3
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    r = lower_bound_instance(5, Fraction(1, 4)).received
+def test_each_decode_forks_one_child_at_most(monkeypatch) -> None:
+    # the two random level-5 words at 3/4 have non-empty r0 lists, so the
+    # root decodes r1, r_plus and r_minus as one round, three distinct
+    # words: at 2 workers and at 8 (the CPU count reads 8, so on any
+    # machine) the caller decodes r1 and r_plus and one forked child
+    # r_minus.  Each decode forks exactly once, and the root's pair scan
+    # runs in the caller: a scan made in a child would not reach `scans`
+    forks, scans = [], []
+    fork, scan = os.fork, decode._scan_blocks
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def recorded_scan(nums, den, half, *args):
+        scans.append(half)
+        return scan(nums, den, half, *args)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(decode, "_scan_blocks", recorded_scan)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    rng = random.Random(8)
     eta = Fraction(3, 4)
+    for r in (random_word(rng, 5), random_word(rng, 5)):
+        seq = list_decode(r, eta).to_lines()
+        for workers in (2, 8):
+            forks.clear()
+            scans.clear()
+            assert list_decode(r, eta, workers).to_lines() == seq, workers
+            assert len(forks) == 1, workers
+            assert scans.count(16) == 1, workers
+    # on a machine of 1 CPU a million workers become 1, and nothing forks
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    forks.clear()
+    r = lower_bound_instance(5, Fraction(1, 4)).received
     assert (list_decode(r, eta, 10**6).to_lines()
             == list_decode(r, eta).to_lines())
-    assert {workers for _, _, workers in inline_fork_map} == {3}
-    # r0's list is non-empty, so r1 and the transformed halves go as one
-    # round; the crafted word's two transformed halves are the same word,
-    # so the round decodes it once
-    assert [len(calls) for fn, calls, _ in inline_fork_map
-            if fn is decode._decode_core] == [2]
-    # the root's pair scan runs in the caller: no map carries it
-    assert not any(fn is decode._scan_blocks for fn, _, _ in inline_fork_map)
+    assert forks == []
 
 
-def test_pool_skips_the_transformed_round(monkeypatch,
-                                          inline_fork_map) -> None:
+def test_fork_path_skips_the_transformed_round(monkeypatch,
+                                              inline_fork_map) -> None:
     # at 1/4 the level-4 deep hole's plain halves, which are the same word,
     # decode empty in-process, so the root sends no round and forks
     # nothing: the zero word among its transformed halves would trip a cap
@@ -357,7 +378,7 @@ def test_pool_skips_the_transformed_round(monkeypatch,
     assert inline_fork_map == []
 
 
-def test_counted_decode_opens_no_pool(monkeypatch, inline_fork_map) -> None:
+def test_counted_decode_never_forks(monkeypatch, inline_fork_map) -> None:
     # a counted decode runs the literal recursion in-process at any worker
     # count: at 5/8 this word's r0 list holds 22 members, so the uncounted
     # 2-worker decode sends a round to _fork_map, and the counted one must
@@ -371,7 +392,7 @@ def test_counted_decode_opens_no_pool(monkeypatch, inline_fork_map) -> None:
     assert two.ops == one.ops > 0
     assert inline_fork_map == []
     assert list_decode(r, eta, 2).to_lines() == lines
-    assert [workers for _, _, workers in inline_fork_map] == [2]
+    assert len(inline_fork_map) == 1
 
 
 @pytest.fixture
@@ -400,7 +421,7 @@ def test_child_that_dies_without_its_result_is_reported(deadline) -> None:
         return i
 
     with pytest.raises(RuntimeError, match="exit status 1 ") as exc:
-        decode._fork_map(dies_in_the_child, [(0,), (1,)], 2)
+        decode._fork_map(dies_in_the_child, [(0,), (1,)])
     assert not isinstance(exc.value, MaxListExceeded)
     _assert_no_child_left()
 
@@ -419,31 +440,43 @@ def test_cap_in_the_callers_slice_leaves_a_blocked_child(deadline) -> None:
 
     start = time.perf_counter()
     with pytest.raises(MaxListExceeded) as exc:
-        decode._fork_map(scan, [(5000,), (5000,)], 2)
+        decode._fork_map(scan, [(5000,), (5000,)])
     assert exc.value.limit == 5000
     assert time.perf_counter() - start < 10
     _assert_no_child_left()
 
 
-def test_fork_map_keeps_call_order() -> None:
-    # process k of w makes calls[k::w]: the results come back in call
-    # order, and of two calls that raise in different processes, the one
-    # the in-process loop meets first is re-raised
+def test_fork_map_keeps_call_order(monkeypatch) -> None:
+    # the caller makes every call but the last and one forked child the
+    # last: the results come back in call order, an exception the child
+    # sends back is re-raised, and where a call of the caller's raises
+    # too, the caller's exception, first in call order, comes out
+    caller = os.getpid()
+
     def square_unless_bad(i, bad):
         if i in bad:
-            raise ValueError(i)
-        return i * i
+            raise ValueError(i, os.getpid() == caller)
+        return i * i, os.getpid() == caller
 
-    for w in (2, 3):
+    for k in range(5):
         assert (decode._fork_map(square_unless_bad,
-                                 [(i, ()) for i in range(7)], w)
-                == [i * i for i in range(7)])
-        for bad in ({1, 2}, {3, 4}):
-            with pytest.raises(ValueError) as exc:
-                decode._fork_map(square_unless_bad,
-                                 [(i, bad) for i in range(7)], w)
-            assert exc.value.args == (min(bad),), (w, bad)
+                                 [(i, ()) for i in range(k)])
+                == [(i * i, k < 2 or i < k - 1) for i in range(k)]), k
+    for bad, raised in (({3}, (3, False)), ({1, 3}, (1, True))):
+        with pytest.raises(ValueError) as exc:
+            decode._fork_map(square_unless_bad, [(i, bad) for i in range(4)])
+        assert exc.value.args == raised, bad
     _assert_no_child_left()
+
+    # a map of fewer than two calls makes them in the caller
+    def no_fork():
+        raise AssertionError("a map of fewer than two calls forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for k in (0, 1):
+        assert (decode._fork_map(square_unless_bad,
+                                 [(i, ()) for i in range(k)])
+                == [(i * i, True) for i in range(k)]), k
 
 
 def test_platform_without_fork_decodes_in_process(monkeypatch) -> None:
@@ -456,7 +489,7 @@ def test_platform_without_fork_decodes_in_process(monkeypatch) -> None:
     _assert_no_child_left()
 
 
-def test_pool_free_decode_loads_no_pool() -> None:
+def test_forking_decode_loads_no_pool() -> None:
     # a decode whose plain halves both decode empty forks nothing, and one
     # that forks, the crafted word at 2 workers, forks without a pool:
     # neither imports concurrent.futures or multiprocessing.  The CPU count
@@ -686,6 +719,10 @@ def test_every_scan_survivor_is_a_member(monkeypatch,
     assert len(list_decode(r, Fraction(3, 4), 2)) == 5210
     assert sum(survivors.values()) > before
     assert root_parts == [5210]
+    # the root's round is r1 and the transformed halves; the crafted word's
+    # two transformed halves are the same word, so the round decodes it once
+    assert [len(calls) for fn, calls in inline_fork_map
+            if fn is decode._decode_core] == [2]
 
 
 def test_ownership_limits_prune_pairs_before_the_scan(monkeypatch) -> None:
