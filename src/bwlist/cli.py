@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
                    help="expected level of the input vector")
     p.add_argument("--workers", type=integer, default=1,
                    help="1 (default) decodes in-process; more forks one "
-                        "helper for the root's child decodes, with "
+                        "helper for one of the root's child decodes, with "
                         "identical output")
     p.add_argument("--max-list", type=integer, dest="max_list",
                    help="abort (exit 2) if any list exceeds this size")

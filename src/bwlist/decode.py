@@ -95,25 +95,22 @@ combine's pair scan checks it as each survivor is stored.
 
 Every combine runs through one pair scan, `_scan_blocks`, which holds
 both the flat loop and the trie walk, and every decode through one
-recursion, `_decode_core`, with one child schedule: r0 first; then, when
-r0's list is non-empty, r1, r_plus and r_minus as one round
-(`_decode_round`); otherwise r1 alone, and r_plus and r_minus as one
-round only when r1's list is non-empty or the decode is counted.  A round
-decodes its words in order, in-process, unless the node forks.
+recursion, `_decode_core`, with one child schedule: r0, then r1, then
+r_plus and r_minus, unless an uncounted decode got two empty lists.
 
 `list_decode` decides once whether a decode forks: only when the worker
 count, clamped to the CPU count, is above 1, the word's level is at
-least 4, the decode is uncounted and the platform has os.fork.  Then
-each of the root's rounds is one `_fork_map`: the round decodes each
-distinct word not yet in the memo once, each with the in-process round's
-call; the caller decodes every word but the last in-process, and one
-forked child, with no pool, decodes the last.  The child inherits its
-arguments (the word and the memo) by the fork, so nothing is pickled on
-the way in, and sends back its pickled result.  The caller's calls come
-first in call order, so the output and a cap are the same at every
-worker count.  The root's r0 and its pair scan run in the caller.  A
-decode uses at most two processes at any w: w > 2 adds nothing.
-Machines wider than two CPUs are unmeasured.
+least 4, the decode is uncounted and the platform has os.fork.  Then the
+root decodes r0 and r1 in-process, and `_fork_pair` splits its
+transformed halves: the caller decodes r_plus while one forked child,
+with no pool, decodes r_minus, each with the in-process call.  Where r1
+is the zero word, r_minus is r_plus and nothing forks.  The child
+inherits its arguments (the word and the memo) by the fork, so nothing
+is pickled on the way in, and sends back its pickled result.  The
+caller's call comes first in call order, so the output and a cap are
+the same at every worker count.  The root's pair scan runs in the
+caller.  A decode uses at most two processes at any w: w > 2 adds
+nothing.  Machines wider than two CPUs are unmeasured.
 """
 
 from __future__ import annotations
@@ -243,11 +240,10 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     mutated.  A counted call neither reads nor writes a memo, and adds
     each node's ops after its combine.
 
-    `fork`, given to an uncounted root call only, makes each of the
-    root's rounds with `_fork_map`: the caller decodes every word of the
-    round but the last, and one forked child the last; see the module
-    docstring.  The root's pair scan and every call below the root run in
-    one process."""
+    `fork`, given to an uncounted root call only, decodes r_plus in the
+    caller and r_minus in one forked child (`_fork_pair`), unless they are
+    the same word; see the module docstring.  The root's r0, r1 and pair
+    scan and every call below the root run in one process."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -279,20 +275,22 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
                 return hit
     r0, r1, rp, rm, den2 = _split_words(nums, den, n)
     sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
-    if sub0:
-        # r0's list needs every other child
-        sub1, subp, subm = _decode_round(
-            ((r1, den), (rp, den2), (rm, den2)), n - 1, p, q, counter,
-            max_list, memo, fork)
-    else:
-        sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
-        # with empty r0 and r1 lists no pair has a known half: the list is
-        # empty, and an uncounted decode need not build the transformed
-        # halves' lists
-        subp = subm = []
-        if sub1 or counter is not None:
-            subp, subm = _decode_round(((rp, den2), (rm, den2)), n - 1, p,
-                                       q, counter, max_list, memo, fork)
+    sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
+    # with empty r0 and r1 lists no pair has a known half: the list is
+    # empty, and an uncounted decode need not build the transformed halves'
+    # lists
+    subp = subm = []
+    if sub0 or sub1 or counter is not None:
+        call = (n - 1, p, q, counter, max_list, memo)
+        if fork and rp != rm:
+            # the caller decodes r_plus while one forked child decodes
+            # r_minus; where r1 is the zero word they are one word, and
+            # r_minus is a memo hit
+            subp, subm = _fork_pair(_decode_core, (rp, den2, *call),
+                                    (rm, den2, *call))
+        else:
+            subp = _decode_core(rp, den2, *call)
+            subm = _decode_core(rm, den2, *call)
     out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list)
     if counter is not None:
         # ops count every candidate pair, pruned or not
@@ -303,40 +301,17 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     return out
 
 
-def _decode_round(words, n, p, q, counter, max_list, memo, fork):
-    """The lists of `words`, (nums, den) pairs of level n, in order.
-
-    Without `fork` each word is decoded in-process, in order, with the
-    decode's counter and memo.  With it (an uncounted decode's root), the
-    distinct words not in the memo are decoded by `_fork_map`, each with
-    the call the in-process round makes: the forked child decodes with a
-    copy-on-write copy of the memo, and a cap raised in either process
-    comes out where the in-process round would raise it."""
-    if not fork:
-        return [_decode_core(nums, den, n, p, q, counter, max_list, memo)
-                for nums, den in words]
-    todo = [key for key in dict.fromkeys(words) if key not in memo]
-    lists = _fork_map(_decode_core,
-                      [(nums, den, n, p, q, counter, max_list, memo)
-                       for nums, den in todo])
-    memo.update(zip(todo, lists))
-    return [memo[key] for key in words]
-
-
-def _fork_map(fn, calls):
-    """[fn(*c) for c in calls]: the caller makes calls[:-1] in order, and
-    one forked child makes calls[-1]; fewer than two calls fork nothing.
+def _fork_pair(fn, here, there):
+    """(fn(*here), fn(*there)): the caller makes the first call, and one
+    forked child the second.
 
     The child inherits its arguments, sends back its pickled
     (result, exception) through a pipe and leaves through os._exit.  An
-    exception in the caller's calls is raised at once, without reading
-    the child, and one the child sends back is re-raised, so the first
-    exception in call order comes out.  A child that ends without sending
-    its result raises RuntimeError.  The child is reaped on every exit;
-    the read end is closed first, so a child blocked writing a result
-    nobody reads gets EPIPE and ends."""
-    if len(calls) < 2:
-        return [fn(*args) for args in calls]
+    exception in the caller's call is raised at once, without reading the
+    child, and one the child sends back is re-raised.  A child that ends
+    without sending its result raises RuntimeError.  The child is reaped on
+    every exit; the read end is closed first, so a child blocked writing a
+    result nobody reads gets EPIPE and ends."""
     import pickle
 
     rfd, wfd = os.pipe()
@@ -348,7 +323,7 @@ def _fork_map(fn, calls):
                 try:
                     reader.close()
                     try:
-                        sent = fn(*calls[-1]), None
+                        sent = fn(*there), None
                     except Exception as exc:
                         sent = None, exc
                     pickle.dump(sent, writer, pickle.HIGHEST_PROTOCOL)
@@ -357,7 +332,7 @@ def _fork_map(fn, calls):
                 finally:
                     os._exit(status)
         try:
-            results = [fn(*args) for args in calls[:-1]]
+            mine = fn(*here)
             data = reader.read()
         finally:
             reader.close()
@@ -366,11 +341,10 @@ def _fork_map(fn, calls):
         raise RuntimeError(
             f"worker process {pid} ended with exit status "
             f"{os.waitstatus_to_exitcode(status)} before sending its result")
-    result, error = pickle.loads(data)
+    theirs, error = pickle.loads(data)
     if error is not None:
         raise error
-    results.append(result)
-    return results
+    return mine, theirs
 
 
 # Per pairing: which child lists pair up, the reconstruction signs for the
@@ -619,15 +593,15 @@ def list_decode(
     lists the uncounted one skips.
 
     `workers` is clamped to the CPU count w.  An uncounted decode of a word
-    of level 4 or more with w > 1 splits each of its root's rounds, at
-    most three child decodes, between the caller, which makes all but the
-    last, and one child it forks for the last, and reaps that child on
-    every exit, a raised cap included; w > 2 adds nothing.  There is no
-    pool.  The root's pair scan runs in the caller.  Where os.fork is
-    missing the decode runs in-process.  The decoder
-    starts no thread; a threaded caller that passes w > 1 takes on the
-    usual hazards of forking a threaded process.  The output is the same,
-    byte for byte, at every worker count."""
+    of level 4 or more with w > 1 splits its root's two transformed
+    halves between the caller, which decodes r_plus, and one child it
+    forks for r_minus, and reaps that child on every exit, a raised cap
+    included; where the halves are the same word nothing forks, and w > 2
+    adds nothing.  There is no pool.  The root's r0, r1 and pair scan run
+    in the caller.  Where os.fork is missing the decode runs in-process.
+    The decoder starts no thread; a threaded caller that passes w > 1
+    takes on the usual hazards of forking a threaded process.  The output
+    is the same, byte for byte, at every worker count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     eta = Fraction(eta)

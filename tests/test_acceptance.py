@@ -228,8 +228,8 @@ def test_07_operation_count_scales_as_grid_squared() -> None:
 def test_08_worker_count_never_changes_output(monkeypatch) -> None:
     # workers are clamped to the CPU count, which reads 8 here, so on any
     # machine 2 and 8 workers both fork at level >= 4: each takes the same
-    # two processes, the caller, which decodes every word of a root round
-    # but the last, and one forked child, which decodes the last
+    # two processes, the caller, which decodes the root's r0, r1 and
+    # r_plus, and one forked child, which decodes its r_minus
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     failures = []
     cells = 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bwlist.arith import format_vector
+from bwlist.arith import CVector, QComplex, format_vector
 from bwlist.cli import EXIT_INTERNAL, EXIT_MAX_LIST, EXIT_OK, EXIT_USAGE, main
 from bwlist.rmcode import lower_bound_instance
 from srcenv import SRC_ENV
@@ -78,7 +78,7 @@ def test_decode_workers_flag(capsys, monkeypatch) -> None:
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert ("--workers WORKERS 1 (default) decodes in-process; more forks "
-            "one helper for the root's child decodes, with identical "
+            "one helper for one of the root's child decodes, with identical "
             "output") in text
 
 
@@ -99,18 +99,28 @@ def test_decode_cap_ignores_a_skipped_subtree(capsys, monkeypatch) -> None:
 
 def test_decode_cap_message_is_the_same_at_every_worker_count(
         capsys, monkeypatch) -> None:
-    # the crafted word's top combine finds 5210 members; at 2 workers (the
-    # CPU count reads 2, so the decode forks its root's round on any
-    # machine) every child list fits under the cap, and the root's scan,
-    # run in the caller, must stop at the size the sequential scan does
+    # the crafted word translated by the lattice member (1, ..., 1) has
+    # 5210 members at 3/4, all found by its top combine; at 2 workers (the
+    # CPU count reads 2, so the decode forks once on any machine) every
+    # child list fits under the cap, and the root's scan, run in the
+    # caller, must stop at the size the sequential scan does
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    word = format_vector(lower_bound_instance(5, Fraction(1, 4)).received)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    r = lower_bound_instance(5, Fraction(1, 4)).received
+    word = format_vector(r + CVector([QComplex(1)] * len(r)))
     runs = [_run(["decode", "--eta", "3/4", "--max-list", "5000",
                   "--workers", workers], capsys, stdin=word,
                  monkeypatch=monkeypatch)
             for workers in ("1", "2")]
     assert runs[0] == runs[1] == (
         EXIT_MAX_LIST, "", "error: list size 5001 exceeds cap 5000\n")
+    assert len(forks) == 1
 
 
 def test_bad_eta_is_usage_error(capsys, monkeypatch) -> None:

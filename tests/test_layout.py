@@ -146,3 +146,16 @@ def test_only_decode_reads_the_benchmark_alias() -> None:
         or isinstance(node, ast.alias) and node.name == name
     ]
     assert not offenders, offenders
+
+
+def test_the_package_forks_in_one_place() -> None:
+    # `--workers` starts its one child through a single os.fork call: a
+    # second call, or a `from os import fork` that would hide one, fails
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "fork"
+        or isinstance(node, ast.alias) and node.name == "fork"
+    ]
+    assert len(sites) == 1, sites
