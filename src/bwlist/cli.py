@@ -174,9 +174,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=integer,
                    help="expected level of the input vector")
     p.add_argument("--workers", type=integer, default=1,
-                   help="1 (default) decodes in-process; more forks one "
-                        "helper for one of the root's child decodes, with "
-                        "identical output")
+                   help="accepted for callers that pass it; every decode "
+                        "runs in one process")
     p.add_argument("--max-list", type=integer, dest="max_list",
                    help="abort (exit 2) if any list exceeds this size")
     add_io(p)

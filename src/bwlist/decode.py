@@ -98,24 +98,14 @@ both the flat loop and the trie walk, and every decode through one
 recursion, `_decode_core`, with one child schedule: r0, then r1, then
 r_plus and r_minus, unless an uncounted decode got two empty lists.
 
-`list_decode` decides once whether a decode forks: only when the worker
-count, clamped to the CPU count, is above 1, the word's level is at
-least 4, the decode is uncounted and the platform has os.fork.  Then the
-root decodes r0 and r1 in-process, and `_fork_pair` splits its
-transformed halves: the caller decodes r_plus while one forked child,
-with no pool, decodes r_minus, each with the in-process call.  Where r1
-is the zero word, r_minus is r_plus and nothing forks.  The child
-inherits its arguments (the word and the memo) by the fork, so nothing
-is pickled on the way in, and sends back its pickled result.  The
-caller's call comes first in call order, so the output and a cap are
-the same at every worker count.  The root's pair scan runs in the
-caller.  A decode uses at most two processes at any w: w > 2 adds
-nothing.  Machines wider than two CPUs are unmeasured.
+Every decode runs in this one process, at any worker count: `list_decode`
+checks its `workers` argument and reads it no further.  The paper's
+parallel bound, poly-logarithmic depth given enough processors, is not
+exercised here.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional
@@ -140,9 +130,6 @@ class MaxListExceeded(RuntimeError):
         # every cap check raises at the list's (limit + 1)-th entry
         super().__init__(f"list size {limit + 1} exceeds cap {limit}")
         self.limit = limit
-
-    def __reduce__(self):
-        return (MaxListExceeded, (self.limit,))
 
 
 class CostCounter:
@@ -228,8 +215,7 @@ def _split_words(nums, den, n):
     return r0, r1, tuple(rp), tuple(rm), den + den
 
 
-def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
-                 fork=False):
+def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
     """Returns [(point, tot)]: tot is the exact scaled squared distance
     sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
 
@@ -238,12 +224,7 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     call without one starts its own, so a memo never outlives the decode
     it belongs to.  The lists it returns are shared and must not be
     mutated.  A counted call neither reads nor writes a memo, and adds
-    each node's ops after its combine.
-
-    `fork`, given to an uncounted root call only, decodes r_plus in the
-    caller and r_minus in one forked child (`_fork_pair`), unless they are
-    the same word; see the module docstring.  The root's r0, r1 and pair
-    scan and every call below the root run in one process."""
+    each node's ops after its combine."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -281,16 +262,8 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     # lists
     subp = subm = []
     if sub0 or sub1 or counter is not None:
-        call = (n - 1, p, q, counter, max_list, memo)
-        if fork and rp != rm:
-            # the caller decodes r_plus while one forked child decodes
-            # r_minus; where r1 is the zero word they are one word, and
-            # r_minus is a memo hit
-            subp, subm = _fork_pair(_decode_core, (rp, den2, *call),
-                                    (rm, den2, *call))
-        else:
-            subp = _decode_core(rp, den2, *call)
-            subm = _decode_core(rm, den2, *call)
+        subp = _decode_core(rp, den2, n - 1, p, q, counter, max_list, memo)
+        subm = _decode_core(rm, den2, n - 1, p, q, counter, max_list, memo)
     out = _combine_core(nums, den, n, p, q, sub0, sub1, subp, subm, max_list)
     if counter is not None:
         # ops count every candidate pair, pruned or not
@@ -299,52 +272,6 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None,
     elif n >= 2:
         memo[nums, den] = out
     return out
-
-
-def _fork_pair(fn, here, there):
-    """(fn(*here), fn(*there)): the caller makes the first call, and one
-    forked child the second.
-
-    The child inherits its arguments, sends back its pickled
-    (result, exception) through a pipe and leaves through os._exit.  An
-    exception in the caller's call is raised at once, without reading the
-    child, and one the child sends back is re-raised.  A child that ends
-    without sending its result raises RuntimeError.  The child is reaped on
-    every exit; the read end is closed first, so a child blocked writing a
-    result nobody reads gets EPIPE and ends."""
-    import pickle
-
-    rfd, wfd = os.pipe()
-    with open(rfd, "rb") as reader:
-        with open(wfd, "wb") as writer:
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    reader.close()
-                    try:
-                        sent = fn(*there), None
-                    except Exception as exc:
-                        sent = None, exc
-                    pickle.dump(sent, writer, pickle.HIGHEST_PROTOCOL)
-                    writer.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-        try:
-            mine = fn(*here)
-            data = reader.read()
-        finally:
-            reader.close()
-            status = os.waitpid(pid, 0)[1]
-    if not data:
-        raise RuntimeError(
-            f"worker process {pid} ended with exit status "
-            f"{os.waitstatus_to_exitcode(status)} before sending its result")
-    theirs, error = pickle.loads(data)
-    if error is not None:
-        raise error
-    return mine, theirs
 
 
 # Per pairing: which child lists pair up, the reconstruction signs for the
@@ -585,23 +512,15 @@ def list_decode(
     """All members within relative squared distance eta of r, exactly.
 
     With a `counter`, the decode runs the literal recursion, all four child
-    calls at every node, in-process at any worker count and without the
-    memo, and adds its ops
-    to `counter.ops`; without one, it skips the subtrees that cannot hold
+    calls at every node, without the memo, and adds its ops to
+    `counter.ops`; without one, it skips the subtrees that cannot hold
     a member (see the module docstring).  The list is the same either way;
     only a `max_list` cap can tell them apart, as the counted decode builds
     lists the uncounted one skips.
 
-    `workers` is clamped to the CPU count w.  An uncounted decode of a word
-    of level 4 or more with w > 1 splits its root's two transformed
-    halves between the caller, which decodes r_plus, and one child it
-    forks for r_minus, and reaps that child on every exit, a raised cap
-    included; where the halves are the same word nothing forks, and w > 2
-    adds nothing.  There is no pool.  The root's r0, r1 and pair scan run
-    in the caller.  Where os.fork is missing the decode runs in-process.
-    The decoder starts no thread; a threaded caller that passes w > 1
-    takes on the usual hazards of forking a threaded process.  The output
-    is the same, byte for byte, at every worker count."""
+    `workers` must be at least 1 and changes nothing else: every decode
+    runs in this process, so the output is the same, byte for byte, at
+    every worker count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     eta = Fraction(eta)
@@ -609,13 +528,9 @@ def list_decode(
         raise ValueError("radius must be >= 0")
     if max_list is not None and max_list < 0:
         raise ValueError("max_list must be >= 0")
-    # fork only on a machine with a second CPU and a platform that can,
-    # and never in a counted decode: it stays the in-process recursion
-    fork = (min(workers, os.cpu_count() or 1) > 1 and r.n >= 4
-            and counter is None and hasattr(os, "fork"))
     nums, den = vector_to_scaled(r)
     pts = _decode_core(nums, den, r.n, eta.numerator, eta.denominator,
-                       counter, max_list, fork=fork)
+                       counter, max_list)
     return DecodeList(len(r), den, pts)
 
 

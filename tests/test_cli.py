@@ -72,14 +72,14 @@ def test_decode_workers_flag(capsys, monkeypatch) -> None:
     code, _, err = _run(["decode", "--eta", "1/2", "--workers", "0"], capsys,
                         stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
     assert code == EXIT_USAGE
-    # the help says what the count does: more than 1 forks one helper
+    # the help says what the count does: nothing, as every decode runs in
+    # one process
     with pytest.raises(SystemExit) as exc:
         main(["decode", "--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert ("--workers WORKERS 1 (default) decodes in-process; more forks "
-            "one helper for one of the root's child decodes, with identical "
-            "output") in text
+    assert ("--workers WORKERS accepted for callers that pass it; every "
+            "decode runs in one process") in text
 
 
 def test_decode_max_list_exit_code(capsys, monkeypatch) -> None:
@@ -100,18 +100,9 @@ def test_decode_cap_ignores_a_skipped_subtree(capsys, monkeypatch) -> None:
 def test_decode_cap_message_is_the_same_at_every_worker_count(
         capsys, monkeypatch) -> None:
     # the crafted word translated by the lattice member (1, ..., 1) has
-    # 5210 members at 3/4, all found by its top combine; at 2 workers (the
-    # CPU count reads 2, so the decode forks once on any machine) every
-    # child list fits under the cap, and the root's scan, run in the
-    # caller, must stop at the size the sequential scan does
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    # 5210 members at 3/4, all found by its top combine; every child list
+    # fits under the cap, and the root's scan must stop at the same size at
+    # 1 and 2 workers
     r = lower_bound_instance(5, Fraction(1, 4)).received
     word = format_vector(r + CVector([QComplex(1)] * len(r)))
     runs = [_run(["decode", "--eta", "3/4", "--max-list", "5000",
@@ -120,7 +111,6 @@ def test_decode_cap_message_is_the_same_at_every_worker_count(
             for workers in ("1", "2")]
     assert runs[0] == runs[1] == (
         EXIT_MAX_LIST, "", "error: list size 5001 exceeds cap 5000\n")
-    assert len(forks) == 1
 
 
 def test_bad_eta_is_usage_error(capsys, monkeypatch) -> None:
@@ -274,9 +264,9 @@ def test_closed_output_pipe_is_not_an_error() -> None:
 
 
 def test_cli_import_leaves_the_pool_unloaded() -> None:
-    # a decode on more than one worker forks its helpers without a process
-    # pool, so no command imports one; and every value type is a tuple, so
-    # nothing loads dataclasses either
+    # every decode runs in one process, so no command imports a process
+    # pool; and every value type is a tuple, so nothing loads dataclasses
+    # either
     script = ("import sys, bwlist.cli\n"
               "for name in ('concurrent.futures.process', 'multiprocessing',\n"
               "             'dataclasses'):\n"

@@ -3,13 +3,11 @@ from __future__ import annotations
 import collections
 import os
 import random
-import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import lcm
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -202,67 +200,47 @@ def test_combine_cap_fires_during_the_scan() -> None:
         with pytest.raises(MaxListExceeded) as exc:
             list_decode(r, eta, max_list=cap)
         assert exc.value.limit == cap
+        assert str(exc.value) == f"list size {cap + 1} exceeds cap {cap}"
 
 
-def _assert_no_child_left() -> None:
-    """Every process the decode forked has been reaped: this process has
-    no child, running or a zombie."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_combine_cap_fires_on_the_fork_path(monkeypatch) -> None:
+    # the translated crafted word at 3/4 at 2 workers on a CPU count of 2,
+    # the settings under which the decode once forked a child for the
+    # root's r_minus: it now decodes r0, r1, r_plus and r_minus in this
+    # process, and no call to os.fork is made.  Caps 2000 and 5000 fit
+    # every child list (at most 1242) and fire in the root's pair scan,
+    # which would keep 5210 members; at cap 1000 the r_plus list, which
+    # grows to 1242, trips it first
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def no_fork():
+        raise AssertionError("the decode forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    r = _translated_crafted_word()
+    for cap in (1000, 2000, 5000):
+        with pytest.raises(MaxListExceeded) as exc:
+            list_decode(r, Fraction(3, 4), 2, max_list=cap)
+        assert exc.value.limit == cap
+        assert str(exc.value) == f"list size {cap + 1} exceeds cap {cap}"
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the calls of os.fork made in this process, one entry each."""
-    made = []
-    fork = os.fork
-
-    def counted_fork():
-        made.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return made
-
-
-def _forking_crafted_word() -> CVector:
+def _translated_crafted_word() -> CVector:
     """lower_bound_instance(5, 1/4).received translated by the lattice
     member (1, ..., 1).  The untranslated word's r1 is the zero word, so
-    its transformed halves are one word and its decode forks nothing; the
-    translated word's halves differ, and at 3/4 it has the same 5210
-    members, moved by (1, ..., 1)."""
+    its transformed halves are one word; the translated word's halves
+    differ, and at 3/4 it has the same 5210 members, moved by
+    (1, ..., 1)."""
     r = lower_bound_instance(5, Fraction(1, 4)).received
     return r + CVector([QComplex(1)] * len(r))
 
 
-def test_combine_cap_fires_on_the_fork_path(monkeypatch, forks) -> None:
-    # the translated crafted word at 3/4 at 2 workers (the CPU count reads
-    # 2, so a 1-CPU machine forks too): the caller decodes r0 (no list
-    # past 64) and r1 (1 member), then r_plus, while one forked child
-    # decodes r_minus; both lists grow to 1242.  Cap 1000 fires in both
-    # processes, and the caller's cap comes out.  Caps 2000 and 5000 fit
-    # every child list and fire in the root's pair scan, which keeps 5210
-    # members in the caller.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    r = _forking_crafted_word()
-    for cap in (1000, 2000, 5000):
-        forks.clear()
-        with pytest.raises(MaxListExceeded) as exc:
-            list_decode(r, Fraction(3, 4), 2, max_list=cap)
-        assert exc.value.limit == cap
-        assert len(forks) == 1, cap
-        # every child is reaped on the way out of a raised cap
-        _assert_no_child_left()
-
-
-def test_cap_in_the_forked_child_comes_back_through_its_pipe(
-        monkeypatch, forks) -> None:
+def test_cap_fires_in_the_root_r_minus_decode(monkeypatch) -> None:
     # random_word(Random(10), 5) at 3/4: the root's children peak at 141
-    # (r0), 147 (r1), 134 (r_plus) and 229 (r_minus) members, so at 2
-    # workers a cap of 200 fires only in the forked child's decode of
-    # r_minus.  It must come out as the cap the in-process decode raises;
-    # no call the caller makes below the root raises it
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # (r0), 147 (r1), 134 (r_plus) and 229 (r_minus) members, so a cap of
+    # 200 fires first in the level-4 decode of r_minus, after r0, r1 and
+    # r_plus fit, and passes up through the root unchanged, at every
+    # worker count
     core = decode._decode_core
     raised = []
 
@@ -270,25 +248,20 @@ def test_cap_in_the_forked_child_comes_back_through_its_pipe(
         try:
             return core(nums, den, n, *args, **kwargs)
         except MaxListExceeded:
-            raised.append(n)
+            raised.append((nums, n))
             raise
 
     monkeypatch.setattr(decode, "_decode_core", spy)
     r = random_word(random.Random(10), 5)
-
-    def levels_raised(workers):
+    nums, den = vector_to_scaled(r)
+    r_minus = decode._split_words(nums, den, 5)[3]
+    for workers in (1, 2):
         raised.clear()
         with pytest.raises(MaxListExceeded) as exc:
             list_decode(r, Fraction(3, 4), workers, max_list=200)
         assert exc.value.limit == 200
         assert str(exc.value) == "list size 201 exceeds cap 200"
-        return raised
-
-    assert 4 in levels_raised(1)
-    assert forks == []
-    assert levels_raised(2) == [5]
-    assert len(forks) == 1
-    _assert_no_child_left()
+        assert raised == [(r_minus, 4), (nums, 5)], workers
 
 
 def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
@@ -325,23 +298,22 @@ def test_counted_decode_calls_every_node_of_the_recursion(
 
 
 def test_cost_counter_is_deterministic_and_positive() -> None:
+    # the count is the same on a second decode and at any worker count
     r = CVector([HALF_PHI] * 4)
     a, b = CostCounter(), CostCounter()
     list_decode(r, Fraction(1, 2), counter=a)
-    list_decode(r, Fraction(1, 2), counter=b)
+    list_decode(r, Fraction(1, 2), 2, counter=b)
     assert a.ops == b.ops
     assert a.ops > 0
 
 
-def test_parallel_matches_sequential_small(monkeypatch, forks) -> None:
-    # 2 workers fork once, for the root's r_minus (the CPU count reads 2,
-    # so on any machine), and give the output of one worker: on a level-4
-    # word of small fractions, on the level-4 and level-5 deep holes, whose
-    # inner lists hold one point, so the root scans flat, on the level-4
-    # crafted word, whose root has a one-point outer list (translated by
-    # the member (1, ..., 1), so that its r1 is not the zero word), and on
-    # two random level-5 words
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_parallel_matches_sequential_small() -> None:
+    # 2 workers give the output of one worker: on a level-4 word of small
+    # fractions, on the level-4 and level-5 deep holes, whose inner lists
+    # hold one point, so the root scans flat, on the level-4 crafted word,
+    # whose root has a one-point outer list (translated by the member
+    # (1, ..., 1), so that its r1 is not the zero word), and on two random
+    # level-5 words
     rng = random.Random(6)
 
     def coord() -> QComplex:
@@ -357,249 +329,42 @@ def test_parallel_matches_sequential_small(monkeypatch, forks) -> None:
               (random_word(rng, 5), Fraction(3, 4)),
               (random_word(rng, 5), Fraction(3, 4))]
     for r, eta in cases:
-        forks.clear()
         assert (list_decode(r, eta, 2).to_lines()
                 == list_decode(r, eta).to_lines())
-        assert len(forks) == 1, r
 
 
-def test_forked_decode_matches_sequential_at_every_worker_count(
-        monkeypatch, forks) -> None:
+def test_decode_matches_sequential_at_every_worker_count() -> None:
     # the translated crafted word at 3/4: the level-5 combine has 161 460
-    # candidate pairs, and the ownership limits leave 80 860 for the
-    # caller to scan; it keeps 5210 members, found by up to four pairings,
-    # kept by one.  Workers are clamped to the CPU count, which reads 8
-    # here, so on any machine 2, 3 and 8 workers fork once: the caller
-    # decodes r_plus and one forked child r_minus, at every count
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    r = _forking_crafted_word()
+    # candidate pairs, and the ownership limits leave 80 860 to scan; it
+    # keeps 5210 members, found by up to four pairings, kept by one, and
+    # 2, 3, 8 and a million workers give the lines of one
+    r = _translated_crafted_word()
     eta = Fraction(3, 4)
     seq = list_decode(r, eta).to_lines()
     assert len(seq) == 5210
-    for workers in (2, 3, 8):
-        forks.clear()
+    for workers in (2, 3, 8, 10**6):
         assert list_decode(r, eta, workers).to_lines() == seq, workers
-        assert len(forks) == 1, workers
 
 
-@pytest.fixture
-def inline_fork_pair(monkeypatch):
-    """An in-process stand-in for `decode._fork_pair`, so no process
-    starts.  It records each pair the decode makes as (fn, here, there)."""
-    pairs = []
-
-    def fork_pair(fn, here, there):
-        pairs.append((fn, here, there))
-        return fn(*here), fn(*there)
-
-    monkeypatch.setattr(decode, "_fork_pair", fork_pair)
-    return pairs
-
-
-def test_each_decode_forks_one_child_at_most(monkeypatch, forks) -> None:
-    # the two random level-5 words at 3/4 have non-empty r0 lists and an
-    # r1 that is not the zero word: at 2 workers and at 8 (the CPU count
-    # reads 8, so on any machine) the caller decodes r0, r1 and r_plus
-    # and one forked child r_minus.  Each decode forks exactly once, and
-    # the root's pair scan runs in the caller: a scan made in a child
-    # would not reach `scans`
-    pairs, scans = [], []
-    fork_pair, scan = decode._fork_pair, decode._scan_blocks
-
-    def recorded_pair(fn, here, there):
-        pairs.append((here[:2], there[:2]))
-        return fork_pair(fn, here, there)
-
-    def recorded_scan(nums, den, half, *args):
-        scans.append(half)
-        return scan(nums, den, half, *args)
-
-    monkeypatch.setattr(decode, "_fork_pair", recorded_pair)
-    monkeypatch.setattr(decode, "_scan_blocks", recorded_scan)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    rng = random.Random(8)
-    eta = Fraction(3, 4)
-    for r in (random_word(rng, 5), random_word(rng, 5)):
-        seq = list_decode(r, eta).to_lines()
-        nums, den = vector_to_scaled(r)
-        _, _, r_plus, r_minus, den2 = decode._split_words(nums, den, 5)
-        for workers in (2, 8):
-            forks.clear()
-            pairs.clear()
-            scans.clear()
-            assert list_decode(r, eta, workers).to_lines() == seq, workers
-            assert len(forks) == 1, workers
-            # the caller's word is r_plus, the child's r_minus
-            assert pairs == [((r_plus, den2), (r_minus, den2))], workers
-            assert scans.count(16) == 1, workers
-    # the untranslated crafted word's r1 is the zero word, so r_plus is
-    # r_minus: 2 workers decode it once, in-process, and fork nothing
-    forks.clear()
-    r = lower_bound_instance(5, Fraction(1, 4)).received
-    assert list_decode(r, eta, 2).to_lines() == list_decode(r, eta).to_lines()
-    assert forks == []
-    # on a machine of 1 CPU a million workers become 1, and nothing forks
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    r = _forking_crafted_word()
-    assert (list_decode(r, eta, 10**6).to_lines()
-            == list_decode(r, eta).to_lines())
-    assert forks == []
-
-
-def test_fork_path_skips_the_transformed_round(monkeypatch,
-                                              inline_fork_pair) -> None:
-    # at 1/4 the level-4 deep hole's plain halves, which are the same word,
-    # decode empty in-process, so the root decodes neither transformed
-    # half and forks nothing: the zero word, its r_minus, would trip a cap
-    # of 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    r = CVector([HALF_PHI] * 16)
-    eta = Fraction(1, 4)
-    par = list_decode(r, eta, 2, max_list=0)
-    assert len(par) == 0
-    assert par.to_lines() == list_decode(r, eta, max_list=0).to_lines()
-    assert inline_fork_pair == []
-
-
-def test_counted_decode_never_forks(monkeypatch, inline_fork_pair) -> None:
-    # a counted decode runs the literal recursion in-process at any worker
-    # count: at 5/8 this word's r0 list holds 22 members, so the uncounted
-    # 2-worker decode sends its transformed halves to _fork_pair, and the
-    # counted one must not.  The CPU count reads 2, so 2 workers fork on
-    # any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    r = random_word(random.Random(0), 4)
-    eta = Fraction(5, 8)
-    one, two = CostCounter(), CostCounter()
-    lines = list_decode(r, eta, counter=one).to_lines()
-    assert list_decode(r, eta, 2, counter=two).to_lines() == lines
-    assert two.ops == one.ops > 0
-    assert inline_fork_pair == []
-    assert list_decode(r, eta, 2).to_lines() == lines
-    assert len(inline_fork_pair) == 1
-
-
-@pytest.fixture
-def deadline():
-    """Fails the test with TimeoutError if it runs for more than 60 s, so
-    a decode that would hang cannot stall the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the test ran past its 60 s deadline")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
-
-
-def test_child_that_dies_without_its_result_is_reported(deadline) -> None:
-    # the forked child, which makes the second call, ends with exit status
-    # 1 and sends nothing: _fork_pair names that status, and reaps the
-    # child
-    caller = os.getpid()
-
-    def dies_in_the_child(i):
-        if os.getpid() != caller:
-            os._exit(1)
-        return i
-
-    with pytest.raises(RuntimeError, match="exit status 1 ") as exc:
-        decode._fork_pair(dies_in_the_child, (0,), (1,))
-    assert not isinstance(exc.value, MaxListExceeded)
-    _assert_no_child_left()
-
-
-def test_cap_in_the_callers_slice_leaves_a_blocked_child(deadline) -> None:
-    # the caller's own call raises the cap while the child holds a result
-    # far over a pipe's 64 KiB buffer: the child is blocked writing it, and
-    # _fork_pair must close the pipe, reap the child and raise at once
-    caller = os.getpid()
-
-    def scan(max_list):
-        if os.getpid() != caller:
-            return [(i, 0) for i in range(10**5)]
-        time.sleep(0.2)
-        raise MaxListExceeded(max_list)
-
-    start = time.perf_counter()
-    with pytest.raises(MaxListExceeded) as exc:
-        decode._fork_pair(scan, (5000,), (5000,))
-    assert exc.value.limit == 5000
-    assert time.perf_counter() - start < 10
-    _assert_no_child_left()
-
-
-def test_fork_pair_keeps_call_order() -> None:
-    # the caller makes the first call and one forked child the second: the
-    # results come back in call order, an exception the child sends back is
-    # re-raised, and where the caller's call raises too, the caller's
-    # exception comes out
-    caller = os.getpid()
-
-    def square_unless_bad(i, bad):
-        if i in bad:
-            raise ValueError(i, os.getpid() == caller)
-        return i * i, os.getpid() == caller
-
-    assert (decode._fork_pair(square_unless_bad, (2, ()), (3, ()))
-            == ((4, True), (9, False)))
-    for bad, raised in (({3}, (3, False)), ({2, 3}, (2, True))):
-        with pytest.raises(ValueError) as exc:
-            decode._fork_pair(square_unless_bad, (2, bad), (3, bad))
-        assert exc.value.args == raised, bad
-
-    # a cap raised in the child comes back whole through the pipe: it
-    # pickles by its limit, so the caller gets the limit and the message
-    def cap_in_the_child(limit):
-        if os.getpid() != caller:
-            raise MaxListExceeded(limit)
-        return limit
-
-    with pytest.raises(MaxListExceeded) as exc:
-        decode._fork_pair(cap_in_the_child, (7,), (7,))
-    assert exc.value.limit == 7
-    assert str(exc.value) == "list size 8 exceeds cap 7"
-    _assert_no_child_left()
-
-
-def test_platform_without_fork_decodes_in_process(monkeypatch) -> None:
-    # without os.fork every worker count decodes in this process alone,
-    # on a word that forks where os.fork exists
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delattr(os, "fork")
-    r = _forking_crafted_word()
-    eta = Fraction(3, 4)
-    assert list_decode(r, eta, 2).to_lines() == list_decode(r, eta).to_lines()
-    _assert_no_child_left()
-
-
-def test_forking_decode_loads_no_pool() -> None:
-    # a decode whose plain halves both decode empty forks nothing, and one
-    # that forks once, the translated crafted word at 2 workers, forks
-    # without a pool: neither imports concurrent.futures or
-    # multiprocessing.  The CPU count reads 2, so 2 workers fork on any
-    # machine
+def test_decode_forks_nothing_and_loads_no_pool() -> None:
+    # every decode runs in one process: the translated crafted word at 2
+    # and 8 workers calls os.fork nowhere, and imports neither
+    # concurrent.futures nor multiprocessing
     script = ("import os, sys\n"
               "from fractions import Fraction\n"
               "from bwlist.arith import CVector, QComplex\n"
               "from bwlist.decode import list_decode\n"
               "from bwlist.rmcode import lower_bound_instance\n"
-              "os.cpu_count = lambda: 2\n"
               "forks, fork = [], os.fork\n"
               "def counted_fork():\n"
               "    forks.append(1)\n"
               "    return fork()\n"
               "os.fork = counted_fork\n"
-              "half_phi = QComplex(Fraction(1, 2), Fraction(1, 2))\n"
-              "r = CVector([half_phi] * 16)\n"
-              "assert len(list_decode(r, Fraction(1, 4), 2)) == 0\n"
-              "assert forks == [], forks\n"
               "r = lower_bound_instance(5, Fraction(1, 4)).received\n"
               "r = r + CVector([QComplex(1)] * 32)\n"
-              "assert len(list_decode(r, Fraction(3, 4), 2)) == 5210\n"
-              "assert len(forks) == 1, forks\n"
+              "for workers in (2, 8):\n"
+              "    assert len(list_decode(r, Fraction(3, 4), workers)) == 5210\n"
+              "assert forks == [], forks\n"
               "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
               "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
@@ -729,17 +494,15 @@ def test_fast_decode_matches_literal_decode(case) -> None:
     # repeated subproblems.  The first example's word at 3/8 has lists over
     # a cap of 2 only in subtrees the early exit skips, so the 2-worker
     # decode must skip them too.  In the second, r0's list of 22 fits a cap
-    # of 22 and r_plus's 27 do not, so the 2-worker decode's cap fires in
-    # the caller's decode of r_plus, while a child decodes r_minus
+    # of 22 and r_plus's 27 do not, so the cap fires in the decode of
+    # r_plus
     r, other, eta, other_eta, cap = case
     # the other word, which shares r's left half, is decoded uncounted
     # before and after r: a memo that outlived its decode would hand one
     # word's lists, found at one radius, to the other word's decode
     other_before = _lines_or_cap(other, other_eta, max_list=cap)
     fast = _lines_or_cap(r, eta, max_list=cap)
-    # the CPU count reads 2, so words of level >= 4 fork on any machine
-    with mock.patch.object(os, "cpu_count", lambda: 2):
-        par = _lines_or_cap(r, eta, 2, max_list=cap)
+    par = _lines_or_cap(r, eta, 2, max_list=cap)
     other_after = _lines_or_cap(other, other_eta, max_list=cap)
     _check_fast(fast, _literal(r, eta, cap), r, eta)
     assert par == fast
@@ -780,14 +543,12 @@ def test_trie_join_matches_brute_force_on_the_crafted_word() -> None:
     assert list_decode(r, eta).to_lines() == lines
 
 
-def test_every_scan_survivor_is_a_member(monkeypatch,
-                                         inline_fork_pair) -> None:
+def test_every_scan_survivor_is_a_member(monkeypatch) -> None:
     # every point the pair scan assembles and keeps must be a lattice
     # member, kept once, on both of its routes: flat (the level-2 deep
     # hole, whose transformed child lists hold one member) and through a
-    # trie.  The translated crafted word at 2 workers, its forked half
-    # decoded in-process here so that every scan is checked, scans its
-    # root in one part of 5210
+    # trie.  The translated crafted word at 2 workers scans its root in
+    # one part of 5210
     scan = decode._scan_blocks
     survivors = {"flat": 0, "trie": 0}
     root_parts = []
@@ -809,13 +570,10 @@ def test_every_scan_survivor_is_a_member(monkeypatch,
     assert list_decode(random_word(random.Random(2), 2), Fraction(1))
     assert survivors["trie"] > 0
     before = sum(survivors.values())
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    r = _forking_crafted_word()
+    r = _translated_crafted_word()
     assert len(list_decode(r, Fraction(3, 4), 2)) == 5210
     assert sum(survivors.values()) > before
     assert root_parts == [5210]
-    # the root makes one pair, its two transformed halves
-    assert len(inline_fork_pair) == 1
 
 
 def test_ownership_limits_prune_pairs_before_the_scan(monkeypatch) -> None:

@@ -148,14 +148,24 @@ def test_only_decode_reads_the_benchmark_alias() -> None:
     assert not offenders, offenders
 
 
-def test_the_package_forks_in_one_place() -> None:
-    # `--workers` starts its one child through a single os.fork call: a
-    # second call, or a `from os import fork` that would hide one, fails
+def test_the_package_never_forks() -> None:
+    # every decode runs in one process: a `.fork(` call, or an import of
+    # os.fork, pickle, multiprocessing or concurrent.futures, fails
+    banned = ("os.fork", "pickle", "multiprocessing", "concurrent.futures")
+
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return [f"{node.module}.{alias.name}" for alias in node.names]
+        return []
+
     sites = [
         f"{path.name}:{node.lineno}"
         for path, tree in _package_trees() for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr == "fork"
-        or isinstance(node, ast.alias) and node.name == "fork"
+        or any(f"{name}.".startswith(f"{module}.")
+               for name in imported(node) for module in banned)
     ]
-    assert len(sites) == 1, sites
+    assert not sites, sites
