@@ -18,11 +18,13 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 from bwlist.arith import format_vector, parse_int, parse_rational, parse_vector
-from bwlist.bounds import validate_bounds
 from bwlist.decode import MaxListExceeded, list_decode
 from bwlist.lattice import generator_matrix, is_member
 from bwlist.oracle import DEFAULT_CAP, oracle_list, shortest_vectors
-from bwlist.rmcode import lower_bound_instance, rm_min_distance
+
+# bwlist.bounds and bwlist.rmcode are imported by the subcommands that use
+# them, so that a decode neither loads nor, without a bytecode cache,
+# compiles them
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,6 +121,8 @@ def _cmd_kissing(args: argparse.Namespace) -> int:
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
+    from bwlist.rmcode import lower_bound_instance
+
     inst = lower_bound_instance(args.n, args.eps)
     lines = [
         f"r\t{format_vector(inst.received)}",
@@ -131,11 +135,15 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_rm_mindist(args: argparse.Namespace) -> int:
+    from bwlist.rmcode import rm_min_distance
+
     _emit(args, [str(rm_min_distance(args.degree, args.n))])
     return EXIT_OK
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from bwlist.bounds import validate_bounds
+
     reports = validate_bounds(
         args.n, trials=args.trials, seed=args.seed
     )

@@ -38,7 +38,11 @@ by coordinate, and each known half walks it depth first, pruning a whole
 subtree once its partial total passes the radius (the partial-distance
 pruning of sphere decoding, run as a trie join).  Shorter inner lists, as
 on sparse words and the deep hole, share too little to pay for a trie and
-are scanned flat, pair by pair.
+are scanned flat, pair by pair.  The flat scan does each inner point's
+work once: it runs inner by inner, and for an inner T it forms
+U = t_sign (1-i) T and the scaled residual e = R - den U before the
+outers, so a pair's term at coordinate j is |e_j - k_sign den K_j|^2 and
+a survivor's coordinate is U_j + k_sign K_j.
 
 Two bounds cut pairs the scan would visit only to drop.  The ownership
 limits filter the lists before the scan: a pair's tot is at most the
@@ -56,7 +60,7 @@ the floors of the coordinates after j.
 Operation-counting convention (CostCounter, reported as `decode.ops` by
 perfbench's traced run):
 
-* base case: one op per grid cell examined;
+* base case (level 0): one op per grid cell examined;
 * each internal node, after its combine: 2N ops for forming the two
   transformed half-words, plus N ops per candidate pair, the envelope of
   the reconstruct-and-test scan, counted from the list sizes whether the
@@ -72,12 +76,20 @@ CostCounter runs the literal recursion instead, all four child calls at
 every node, so counted ops track the 4**n envelope rather than the luck
 of a particular received word.
 
+An uncounted decode does not split a level-1 node into four level-0
+calls: level 1 is {(w0, w1) in Z[i]^2 : w1 - w0 in phi Z[i]}, the pairs
+whose re + im parities agree, so `_level_one` enumerates each w0 within
+the radius and then each w1 of its parity within the room left.  Per-call
+overhead is most of a level-1 node's cost, and the level-1 nodes are most
+of the nodes of a sparse decode.  A counted decode keeps the literal
+recursion down to level 0.
+
 Within one uncounted decode, each node of level >= 2 is decoded once per
 distinct (word, den): a memo holds its list, and a repeat returns it.
 Structured words repeat subproblems heavily: the level-8 all-phi/2 word
-has 80 distinct nodes below its root, out of 87 380.  Levels 0 and 1 are
-left out: their nodes are cheap and so many that building and holding
-their keys costs more than the repeats save.  The memo belongs to one
+has 80 distinct nodes below its root, out of 87 380.  Level-1 nodes are
+left out: they are cheap and so many that building and holding their keys
+costs more than the repeats save.  The memo belongs to one
 call and never outlives it; the lists it hands back are shared, and
 nothing downstream mutates them.  A counted decode neither reads nor
 writes the memo: it decodes every node of the literal recursion, and a
@@ -87,16 +99,19 @@ A `max_list` cap aborts the whole decode with MaxListExceeded as soon as
 any list the decode builds, intermediate or final, exceeds it:
 intermediate lists can blow up near eta = 1 even when the final list is
 small, and the cap exists to protect batch runs from exactly that.  A
-list in a subtree that the early exit skips is never built, so its size
-cannot trip the cap; a counted decode builds every list and may raise
-where an uncounted one returns.  The base case checks the cap as its
-grid grows, so a huge radius fails before the grid is built, and a
-combine's pair scan checks it as each survivor is stored.
+list that an uncounted decode never builds cannot trip the cap: a list in
+a subtree that the early exit skips, and the level-0 lists under a
+level-1 node, which it enumerates directly.  A counted decode builds
+every list and may raise where an uncounted one returns.  The level-0
+grid and the level-1 enumeration check the cap as each member is stored,
+so a huge radius fails before the grid is built, and a combine's pair
+scan checks it as each survivor is stored.
 
 Every combine runs through one pair scan, `_scan_blocks`, which holds
 both the flat loop and the trie walk, and every decode through one
 recursion, `_decode_core`, with one child schedule: r0, then r1, then
-r_plus and r_minus, unless an uncounted decode got two empty lists.
+r_plus and r_minus, unless an uncounted decode got two empty lists or is
+at level 1.
 
 Every decode runs in this one process, at any worker count: `list_decode`
 checks its `workers` argument and reads it no further.  The paper's
@@ -108,6 +123,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from bwlist.arith import (
@@ -144,6 +160,19 @@ class CostCounter:
 class DecodeEntry(NamedTuple):
     point: BWPoint
     distance: Fraction
+
+
+class _CoordText(dict):
+    """The text of each (re, im) coordinate, formatted on its first lookup:
+    a pass to collect the distinct coordinates first would hash every
+    coordinate of every member once more."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        x, y = key
+        text = self[key] = f"{x},{y}"
+        return text
 
 
 class DecodeList:
@@ -189,11 +218,15 @@ class DecodeList:
         of `format_vector(e.point)` and `e.distance`, formatted from the
         scaled integers."""
         scaled, scale = self._scaled, self._scale
-        # members share most coordinates, so each distinct one is formatted
-        # once: half the time of formatting every coordinate of a large list
-        text = {(x, y): f"{x},{y}"
-                for x, y in {c for pt, _ in scaled for c in pt}}
-        return [f"{' '.join(map(text.__getitem__, pt))}\t{Fraction(tot, scale)}"
+        # members share most coordinates and distances, so each distinct one
+        # is formatted once: half the time of formatting every coordinate of
+        # a large list
+        text = _CoordText()
+        dist = {tot: f"\t{Fraction(tot, scale)}" for tot in {t for _, t in scaled}}
+        if scaled and len(scaled[0][0]) == 1:
+            # itemgetter of one key returns the value, not a 1-tuple
+            return [text[pt[0]] + dist[tot] for pt, tot in scaled]
+        return [" ".join(itemgetter(*pt)(text)) + dist[tot]
                 for pt, tot in scaled]
 
 
@@ -219,12 +252,12 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
     """Returns [(point, tot)]: tot is the exact scaled squared distance
     sum_j |R_j - den * w_j|^2, so rsd(r, w) = tot / (den^2 * N).
 
-    An uncounted call (`counter` None) memoises: `memo` maps the
-    (nums, den) of each node of level >= 2 decoded so far to its list; a
-    call without one starts its own, so a memo never outlives the decode
-    it belongs to.  The lists it returns are shared and must not be
-    mutated.  A counted call neither reads nor writes a memo, and adds
-    each node's ops after its combine."""
+    An uncounted call (`counter` None) decodes a level-1 node with
+    `_level_one` and memoises: `memo` maps the (nums, den) of each node of
+    level >= 2 decoded so far to its list; a call without one starts its
+    own, so a memo never outlives the decode it belongs to.  The lists it
+    returns are shared and must not be mutated.  A counted call neither
+    reads nor writes a memo, and adds each node's ops after its combine."""
     if n == 0:
         a0, b0 = nums[0]
         limit = (p * den * den) // q
@@ -248,12 +281,13 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
         return out
 
     if counter is None:
+        if n == 1:
+            return _level_one(nums, den, p, q, max_list)
         if memo is None:
             memo = {}
-        if n >= 2:
-            hit = memo.get((nums, den))
-            if hit is not None:
-                return hit
+        hit = memo.get((nums, den))
+        if hit is not None:
+            return hit
     r0, r1, rp, rm, den2 = _split_words(nums, den, n)
     sub0 = _decode_core(r0, den, n - 1, p, q, counter, max_list, memo)
     sub1 = _decode_core(r1, den, n - 1, p, q, counter, max_list, memo)
@@ -269,8 +303,39 @@ def _decode_core(nums, den, n, p, q, counter, max_list, memo=None):
         # ops count every candidate pair, pruned or not
         npairs = (len(sub0) + len(sub1)) * (len(subp) + len(subm))
         counter.ops += (2 + npairs) << n
-    elif n >= 2:
+    else:
         memo[nums, den] = out
+    return out
+
+
+def _disc(a, b, den, limit):
+    """(x, y, t) for every Gaussian integer x + y i within the scaled
+    radius: t = |(a, b) - den (x, y)|^2 <= limit, column by column."""
+    s = isqrt(limit)
+    for x in range(-((s - a) // den), (a + s) // den + 1):
+        dx = a - x * den
+        cx = dx * dx
+        sy = isqrt(limit - cx)
+        for y in range(-((sy - b) // den), (b + sy) // den + 1):
+            dy = b - y * den
+            yield x, y, cx + dy * dy
+
+
+def _level_one(nums, den, p, q, max_list):
+    """The level-1 list, enumerated directly rather than from four level-0
+    lists: the members are the pairs (w0, w1) of Gaussian integers whose
+    re + im parities agree, as w1 - w0 is in phi Z[i].  Each w0 within the
+    radius is paired with every w1 of its parity within the room it
+    leaves, and the cap is checked as each member is stored."""
+    (a0, b0), (a1, b1) = nums
+    limit = (p * den * den * 2) // q
+    out = []
+    for x0, y0, t0 in _disc(a0, b0, den, limit):
+        for x1, y1, t1 in _disc(a1, b1, den, limit - t0):
+            if not (x0 + y0 + x1 + y1) & 1:
+                out.append((((x0, y0), (x1, y1)), t0 + t1))
+                if max_list is not None and len(out) > max_list:
+                    raise MaxListExceeded(max_list)
     return out
 
 
@@ -374,22 +439,26 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     for outers, inners, (t_sign, k_sign, unknown_left, own0, own_p) in blocks:
         off = 0 if unknown_left else half
         if len(inners) < _TRIE_MIN:
-            for known_pt, known_tot in outers:
-                for trans_pt, trans_tot in inners:
+            # per inner T: U = t_sign (1-i) T and the scaled residual
+            # e = R - den U, so a pair's coordinate term is
+            # |e_j - k_sign den K_j|^2 and its unknown half U + k_sign K
+            rs = nums[off:off + half]
+            kd = k_sign * den
+            for trans_pt, trans_tot in inners:
+                terms = []
+                for (c, d), (ra, rb) in zip(trans_pt, rs):
+                    ux, uy = t_sign * (c + d), t_sign * (d - c)
+                    terms.append((ra - den * ux, rb - den * uy, ux, uy))
+                for known_pt, known_tot in outers:
                     tot = known_tot
                     buf = []
-                    for j in range(half):
-                        a, b = known_pt[j]
-                        c, d = trans_pt[j]
-                        wx = t_sign * (c + d) + k_sign * a
-                        wy = t_sign * (d - c) + k_sign * b
-                        ra, rb = nums[off + j]
-                        dx = ra - wx * den
-                        dy = rb - wy * den
+                    for (a, b), (ex, ey, ux, uy) in zip(known_pt, terms):
+                        dx = ex - kd * a
+                        dy = ey - kd * b
                         tot += dx * dx + dy * dy
                         if tot > limit:
                             break
-                        buf.append((wx, wy))
+                        buf.append((ux + k_sign * a, uy + k_sign * b))
                     else:
                         if (tot - known_tot <= own0
                                 or 4 * tot - trans_tot <= own_p):

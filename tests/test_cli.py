@@ -90,11 +90,22 @@ def test_decode_max_list_exit_code(capsys, monkeypatch) -> None:
 
 
 def test_decode_cap_ignores_a_skipped_subtree(capsys, monkeypatch) -> None:
-    # at 1/4 both halves decode empty, so the transformed halves' list of
-    # one member, which a cap of 0 would refuse, is never built
+    # at 1/4 both halves of the level-2 deep hole decode empty, so the
+    # transformed halves' lists of one member, which a cap of 0 would
+    # refuse, are never built
     code, out, err = _run(["decode", "--eta", "1/4", "--max-list", "0"],
-                          capsys, stdin=DEEP_HOLE_2, monkeypatch=monkeypatch)
+                          capsys, stdin=f"{DEEP_HOLE_2} {DEEP_HOLE_2}",
+                          monkeypatch=monkeypatch)
     assert (code, out, err) == (EXIT_OK, "", "")
+
+
+def test_decode_prints_a_level_zero_word(capsys, monkeypatch) -> None:
+    # a one-coordinate point is formatted on its own path: each line starts
+    # with the coordinate's text, not with its characters spaced out
+    code, out, err = _run(["decode", "--eta", "1"], capsys,
+                          stdin="1/4,-1/3", monkeypatch=monkeypatch)
+    assert (code, out, err) == (
+        EXIT_OK, "0,-1\t73/144\n0,0\t25/144\n1,0\t97/144\n", "")
 
 
 def test_decode_cap_message_is_the_same_at_every_worker_count(
@@ -265,11 +276,12 @@ def test_closed_output_pipe_is_not_an_error() -> None:
 
 def test_cli_import_leaves_the_pool_unloaded() -> None:
     # every decode runs in one process, so no command imports a process
-    # pool; and every value type is a tuple, so nothing loads dataclasses
-    # either
+    # pool; every value type is a tuple, so nothing loads dataclasses
+    # either; and the bounds and rmcode modules load only in the
+    # subcommands that use them
     script = ("import sys, bwlist.cli\n"
               "for name in ('concurrent.futures.process', 'multiprocessing',\n"
-              "             'dataclasses'):\n"
+              "             'dataclasses', 'bwlist.bounds', 'bwlist.rmcode'):\n"
               "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True)

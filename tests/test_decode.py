@@ -173,13 +173,16 @@ def test_negative_max_list_rejected_before_work() -> None:
 
 def test_base_case_cap_fires_before_the_grid_is_built() -> None:
     # at eta = 10**5 the origin's grid holds 314 197 members, at 10**6
-    # over 3 M; the cap must stop the grid at its (max_list + 1)-th entry
-    for eta in (10**5, 10**6):
-        start = time.perf_counter()
-        with pytest.raises(MaxListExceeded) as exc:
-            list_decode(CVector([0]), eta, max_list=10)
-        assert exc.value.limit == 10
-        assert time.perf_counter() - start < 2
+    # over 3 M, and the level-1 zero word's list far more; the cap must
+    # stop the grid, and the level-1 enumeration, at the (max_list + 1)-th
+    # entry
+    for r in (CVector([0]), CVector([0, 0])):
+        for eta in (10**5, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(MaxListExceeded) as exc:
+                list_decode(r, eta, max_list=10)
+            assert exc.value.limit == 10
+            assert time.perf_counter() - start < 2
 
 
 def test_max_list_cap_allows_exact_fit() -> None:
@@ -190,12 +193,12 @@ def test_max_list_cap_allows_exact_fit() -> None:
 
 def test_combine_cap_fires_during_the_scan() -> None:
     # every child list fits under the cap and only the top combine exceeds
-    # it: the level-1 deep hole (children of 4, 4, 1 and 1 members, 8 on
+    # it: the level-2 deep hole (children of 8, 8, 1 and 1 members, 16 on
     # top) scans flat, and the level-4 crafted word (children of at most
     # 282, 1242 on top) scans through the trie.  The scan must stop at the
     # (max_list + 1)-th survivor rather than finish the node first.
     crafted = lower_bound_instance(4, Fraction(1, 4)).received
-    for r, eta, cap in ((CVector([HALF_PHI] * 2), Fraction(1, 2), 5),
+    for r, eta, cap in ((CVector([HALF_PHI] * 4), Fraction(1, 2), 10),
                         (crafted, Fraction(3, 4), 300)):
         with pytest.raises(MaxListExceeded) as exc:
             list_decode(r, eta, max_list=cap)
@@ -265,15 +268,46 @@ def test_cap_fires_in_the_root_r_minus_decode(monkeypatch) -> None:
 
 
 def test_cap_on_a_skipped_subtree_fires_only_when_counted() -> None:
-    # at 1/4 both halves of the level-1 deep hole decode empty, so the
-    # uncounted decode skips the transformed halves, whose list (the
-    # member i, at distance 0) would trip a cap of 0; a counted decode
-    # runs the literal recursion, builds that list and raises
-    r = CVector([HALF_PHI] * 2)
+    # at 1/4 both halves of the level-2 deep hole decode empty, so the
+    # uncounted decode skips the transformed halves, whose lists (the
+    # members (i, i) and 0, at distance 0) would trip a cap of 0; a
+    # counted decode runs the literal recursion, builds those lists and
+    # raises
+    r = CVector([HALF_PHI] * 4)
     assert len(list_decode(r, Fraction(1, 4), max_list=0)) == 0
     with pytest.raises(MaxListExceeded) as exc:
         list_decode(r, Fraction(1, 4), max_list=0, counter=CostCounter())
     assert exc.value.limit == 0
+
+
+def test_cap_on_a_level_zero_list_fires_only_when_counted() -> None:
+    # an uncounted decode enumerates a level-1 node directly and builds no
+    # level-0 list under it: at 1/4 the word (0, i/2) has one member, (0, 0)
+    # at 1/8, while its right half's level-0 list holds 0 and i, over a cap
+    # of 1.  The counted decode builds that list and raises
+    r = CVector([QComplex(0), QComplex(0, Fraction(1, 2))])
+    result = list_decode(r, Fraction(1, 4), max_list=1)
+    assert result.to_lines() == ["0,0 0,0\t1/8"]
+    with pytest.raises(MaxListExceeded) as exc:
+        list_decode(r, Fraction(1, 4), max_list=1, counter=CostCounter())
+    assert exc.value.limit == 1
+
+
+def test_level_one_matches_the_literal_recursion() -> None:
+    # the uncounted decode enumerates level 1 directly, the counted one
+    # combines four level-0 lists: both must give the same lines on words
+    # of mixed denominators, at radii from 0 past 1
+    rng = random.Random(28)
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 8)))
+
+    for _ in range(600):
+        r = CVector([QComplex(part(), part()) for _ in range(2)])
+        eta = Fraction(rng.randint(0, 12), rng.choice((1, 2, 4, 8)))
+        assert (list_decode(r, eta).to_lines()
+                == list_decode(r, eta, counter=CostCounter()).to_lines()), (
+            r, eta)
 
 
 def test_counted_decode_calls_every_node_of_the_recursion(
@@ -517,16 +551,18 @@ def test_fast_decode_matches_literal_decode(case) -> None:
 @example((random_word(random.Random(2), 2), Fraction(1)))
 @example((CVector([HALF_PHI] * 8), Fraction(1, 2)))
 @example((lower_bound_instance(3, Fraction(1, 4)).received, Fraction(3, 4)))
-@example((random_word(random.Random(1_000_008), 1), Fraction(9, 10)))
-@example((random_word(random.Random(1_000_009), 1), Fraction(9, 10)))
+@example((random_word(random.Random(1_000_023), 2), Fraction(9, 10)))
+@example((random_word(random.Random(1_000_017), 2), Fraction(9, 10)))
+@example((CVector([HALF_PHI] * 64), Fraction(1, 2)))
 def test_pair_scan_matches_brute_force_combine(case) -> None:
     # the fixed examples put members where an ownership limit one unit off
     # keeps a member twice or loses it: every member of the deep hole at
     # 1/2 and both its halves lie on the radius, the crafted word's
-    # witnesses lie on 3/4, and the two level-1 words at 9/10, whose child
+    # witnesses lie on 3/4, and the two level-2 words at 9/10, whose child
     # limits are not whole, each have a member whose plus transform lies
     # one unit past r_plus's limit, kept by 0- in the first and by 1- in
-    # the second
+    # the second.  The level-6 deep hole's root scans flat, one inner
+    # against 128 outers of 32 coordinates
     r, eta = case
     lines, _ = _brute_force_combine(r, eta)
     assert list_decode(r, eta).to_lines() == lines
@@ -580,9 +616,12 @@ def test_ownership_limits_prune_pairs_before_the_scan(monkeypatch) -> None:
     # every combine scans just the pairs of an outer and an inner that a
     # pair on the radius could still have kept: a w1 whose w0 could lie
     # past r0's own limit, a minus transform whose plus transform could lie
-    # past r_plus's.  The level-4 deep hole at 1/2 has w1s on that bound and
-    # the level-3 crafted word at 3/4 w1s one unit inside it and minus
-    # transforms on it and one unit inside it
+    # past r_plus's.  The level-4 deep hole at 1/2 has w1s on that bound,
+    # the level-3 crafted word at 3/4 minus transforms on it, and a random
+    # level-3 word at 9/10, at its root, w1s and minus transforms one unit
+    # inside it.  No member can be kept through such a minus transform, as
+    # the plus and minus totals agree mod 8, so only the pair count shows
+    # a bound one unit too tight
     combine, scan = decode._combine_core, decode._scan_blocks
     ruled_in, scanned = [], []
 
@@ -608,6 +647,7 @@ def test_ownership_limits_prune_pairs_before_the_scan(monkeypatch) -> None:
     monkeypatch.setattr(decode, "_scan_blocks", scan_spy)
     for r, eta in ((lower_bound_instance(3, Fraction(1, 4)).received,
                     Fraction(3, 4)),
+                   (random_word(random.Random(32), 3), Fraction(9, 10)),
                    (deep_hole, Fraction(1, 2))):
         ruled_in.clear()
         scanned.clear()
