@@ -20,11 +20,10 @@ from typing import Optional, Sequence, TextIO
 from bwlist.arith import format_vector, parse_int, parse_rational, parse_vector
 from bwlist.decode import MaxListExceeded, list_decode
 from bwlist.lattice import generator_matrix, is_member
-from bwlist.oracle import DEFAULT_CAP, oracle_list, shortest_vectors
 
-# bwlist.bounds and bwlist.rmcode are imported by the subcommands that use
-# them, so that a decode neither loads nor, without a bytecode cache,
-# compiles them
+# bwlist.bounds, bwlist.oracle and bwlist.rmcode are imported by the
+# subcommands that use them, so that a decode neither loads nor, without a
+# bytecode cache, compiles them
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,9 +95,28 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _OracleCap:
+    """The `--cap` default of `oracle` and `kissing`: the oracle's
+    DEFAULT_CAP, looked up only when one of them runs or its help is
+    printed."""
+
+    def __str__(self) -> str:
+        from bwlist.oracle import DEFAULT_CAP
+
+        return str(DEFAULT_CAP)
+
+
+def _oracle_cap(args: argparse.Namespace) -> int:
+    from bwlist.oracle import DEFAULT_CAP
+
+    return DEFAULT_CAP if isinstance(args.cap, _OracleCap) else args.cap
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from bwlist.oracle import oracle_list
+
     vec = _read_vector(args)
-    result = oracle_list(vec, args.eta, cap=args.cap)
+    result = oracle_list(vec, args.eta, cap=_oracle_cap(args))
     _emit(args, result.to_lines())
     return EXIT_OK
 
@@ -115,7 +133,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_kissing(args: argparse.Namespace) -> int:
-    min_norm, achievers = shortest_vectors(args.n, cap=args.cap)
+    from bwlist.oracle import shortest_vectors
+
+    min_norm, achievers = shortest_vectors(args.n, cap=_oracle_cap(args))
     _emit(args, [f"{min_norm}\t{len(achievers)}"])
     return EXIT_OK
 
@@ -192,8 +212,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="decode by exhaustive enumeration")
     p.add_argument("--eta", type=rational, required=True)
     p.add_argument("--n", type=integer)
-    p.add_argument("--cap", type=integer, default=DEFAULT_CAP,
-                   help=f"refuse levels above this (default {DEFAULT_CAP})")
+    p.add_argument("--cap", type=integer, default=_OracleCap(),
+                   help="refuse levels above this (default %(default)s)")
     add_io(p)
     p.set_defaults(run=_cmd_oracle)
 
@@ -209,7 +229,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("kissing", help="minimum squared norm and its count")
     p.add_argument("n", type=integer)
-    p.add_argument("--cap", type=integer, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=integer, default=_OracleCap())
     p.add_argument("--output")
     p.set_defaults(run=_cmd_kissing)
 

@@ -34,15 +34,22 @@ surviving candidates are ever materialized.  For a fixed known half,
 coordinate j's term depends only on the transformed half's coordinate j,
 so inner lists that share coordinate prefixes share that work: an inner
 list of at least _TRIE_MIN points goes into a radix trie keyed coordinate
-by coordinate, and each known half walks it depth first, pruning a whole
+by coordinate, and the known halves walk it together, pruning a whole
 subtree once its partial total passes the radius (the partial-distance
-pruning of sphere decoding, run as a trie join).  Shorter inner lists, as
-on sparse words and the deep hole, share too little to pay for a trie and
-are scanned flat, pair by pair.  The flat scan does each inner point's
-work once: it runs inner by inner, and for an inner T it forms
-U = t_sign (1-i) T and the scaled residual e = R - den U before the
-outers, so a pair's term at coordinate j is |e_j - k_sign den K_j|^2 and
-a survivor's coordinate is U_j + k_sign K_j.
+pruning of sphere decoding, run as a trie join).  Known halves share
+their leading coordinates too, so the walk is dual-tree, after Gray and
+Moore's N-body algorithms: a state pairs the group of known halves that
+share K[:j] with the frontier of inner prefixes still within reach of
+one of them, and splits the group by K_j at each depth.  A term reads
+only K_j and T_j, so each block tabulates, for each K_j that occurs, the
+row of terms over the distinct T_j at depth j; a trie edge then costs an
+addition and a lookup.  Shorter inner lists, as on sparse words and the
+deep hole, share too little to pay for a trie and are scanned flat, pair
+by pair.  The flat scan does each inner point's work once: it runs inner
+by inner, and for an inner T it forms U = t_sign (1-i) T and the scaled
+residual e = R - den U before the outers, so a pair's term at coordinate
+j is |e_j - k_sign den K_j|^2 and a survivor's coordinate is
+U_j + k_sign K_j.
 
 Two bounds cut pairs the scan would visit only to drop.  The ownership
 limits filter the lists before the scan: a pair's tot is at most the
@@ -50,12 +57,13 @@ radius's limit, so a known w1 whose own total leaves no room for a w0 past
 r0's limit feeds neither 1+ nor 1-, and a minus transform that leaves no
 room for a plus transform past r_plus's limit feeds neither 0- nor 1-;
 the filter is necessary, not sufficient, and the test after the scan
-stays.  In the trie walk, coordinate j's term |base_j - den (1-i) T_j|^2
-is at least its coset floor, the squared distance from base_j to the
-lattice den (1-i) Z[i], which reads the outer K only through the parity of
-K_j.re + K_j.im.  An outer whose total plus every floor passes the limit
-is skipped whole, and a trie edge at depth j is held to the limit less
-the floors of the coordinates after j.
+stays.  In the trie walk, coordinate j's term is at least the least
+entry of its row, the floor: the term of the nearest inner value present
+at that depth.  An outer whose total plus every floor passes the limit
+is skipped whole, and its inner terms through depth j are held to its
+cap, the limit less its total and the floors after j.  A group is held
+to the loosest cap among its outers, so a pair is dropped only once it
+passes its own outer's cap.
 
 Operation-counting convention (CostCounter, reported as `decode.ops` by
 perfbench's traced run):
@@ -353,17 +361,21 @@ _PAIRING_SPECS = {
 def _inner_trie(inners, den):
     """Radix trie of the inner list, keyed coordinate by coordinate.
 
-    Coordinate j of inner point T is keyed by den * (1-i) * T_j as an
-    (re, im) pair, the term every pairing subtracts from its outer's
-    scaled residual.  A node is a dict from key to either a child node or,
-    where only one point shares the prefix, that point's index in
-    `inners`: the leaf stores the point whole.  Returns (root, keys) with
-    keys[i] the full key tuple of inners[i].  Built by grouping, without
-    recursion: each node groups its points by their next key, in order of
-    first appearance; the inner points must be distinct.
+    Depth j is keyed by a small int: the index of the inner point's
+    coordinate T_j among the distinct values at that depth, in order of
+    first appearance.  tvals[j] lists those values as den * (1-i) * T_j,
+    the (re, im) term every pairing subtracts from its outer's scaled
+    residual.  A node is a dict from key to either a child node or, where
+    only one point shares the prefix, that point's index in `inners`: the
+    leaf stores the point whole.  Returns (root, keys, tvals) with keys[i]
+    the full key tuple of inners[i].  Built by grouping, without recursion:
+    each node groups its points by their next key, in order of first
+    appearance; the inner points must be distinct.
     """
-    keys = [tuple((den * (c + d), den * (d - c)) for c, d in pt)
+    index = [{} for _ in inners[0][0]]
+    keys = [tuple([ix.setdefault(c, len(ix)) for ix, c in zip(index, pt)])
             for pt, _ in inners]
+    tvals = [[(den * (c + d), den * (d - c)) for c, d in ix] for ix in index]
     root = {}
     stack = [(root, range(len(keys)), 0)]
     while stack:
@@ -377,22 +389,42 @@ def _inner_trie(inners, den):
             else:
                 node[k] = child = {}
                 stack.append((child, group, j + 1))
-    return root, keys
+    return root, keys, tvals
 
 
-def _coset_floor(x, y, den):
-    """min |(x, y) - den (1-i) T|^2 over every Gaussian integer T.
+def _term_tables(outers, rs, tk, tvals, limit):
+    """The outers a trie block can pair, each with its caps, and the
+    block's term tables.
 
-    den (1-i) T runs over the (u, v) = (x - y, x + y) points with both
-    coordinates multiples of D = 2 den, and |z|^2 = (u^2 + v^2) / 2, so
-    each rotated coordinate is reduced to its nearest multiple of D; u and
-    v have one parity, so the halving is exact."""
-    d = den + den
-    u = x - y
-    v = x + y
-    u -= d * ((u + den) // d)
-    v -= d * ((v + den) // d)
-    return (u * u + v * v) >> 1
+    rs[j] is t_sign * R_j and tk is t_sign * k_sign * den, so a pair's
+    term at coordinate j is |rs[j] - tk K_j - tvals[j][k]|^2, k the
+    index of T_j.  tables[j] maps each outer value K_j that occurs to
+    (row, floor): row[k] that term for every value in tvals[j], floor the
+    row's least entry, a lower bound on the term of every inner.  An
+    outer comes back as (K, K's tot, caps), caps[j] = limit - K's tot less
+    the floors after coordinate j: the most its inner terms through j may
+    add up to.  An outer whose caps cannot be met is left out.
+    """
+    half = len(rs)
+    tables = [{} for _ in range(half)]
+    out = []
+    for known_pt, known_tot in outers:
+        caps = [0] * half
+        cap = limit - known_tot
+        for j in range(half - 1, -1, -1):
+            caps[j] = cap
+            kj = known_pt[j]
+            entry = tables[j].get(kj)
+            if entry is None:
+                xr, yr = rs[j]
+                a, b = kj
+                bx, by = xr - tk * a, yr - tk * b
+                row = [(bx - su) ** 2 + (by - sv) ** 2 for su, sv in tvals[j]]
+                entry = tables[j][kj] = (row, min(row))
+            cap -= entry[1]
+        if cap >= 0:
+            out.append((known_pt, known_tot, caps))
+    return out, tables
 
 
 def _scan_blocks(nums, den, half, limit, blocks, max_list):
@@ -419,17 +451,19 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
     An inner list shorter than _TRIE_MIN shares too few prefixes to pay for
     a trie and is scanned flat, pair by pair.  A longer one is put in a
     radix trie (`_inner_trie`) that the outers join against; consecutive
-    blocks with the same inner list share its trie.  For an outer K the
-    scaled residual at coordinate j is
-    t_sign * (t_sign * (R_j - k_sign * den * K_j) - key_j), so one base
-    vector per outer turns every trie edge into a subtraction and a square.
-    Each coordinate's term is at least its coset floor (`_coset_floor`),
-    one of two values per coordinate by the parity of K_j.re + K_j.im: an
-    outer whose total plus all its floors passes `limit` is skipped, and
-    caps[j], `limit` less the floors after coordinate j, bounds the partial
-    total through j.  The walk is depth first on an explicit stack and
-    drops a subtree once its partial total passes its depth's cap; a leaf
-    scans the rest of its point flat against `limit`.
+    blocks with the same inner list share its trie.  The pair's term at
+    coordinate j is |t_sign R_j - t_sign k_sign den K_j - den (1-i) T_j|^2,
+    which `_term_tables` tabulates per block: for each K_j that occurs, a
+    row over the trie's distinct T_j at depth j and the row's minimum, the
+    floor.  It also gives each outer its caps, caps[j] the most the pair's
+    inner terms through j may add up to: `limit` less K's tot and the
+    floors after j.  The walk runs on an explicit stack of states: a group
+    of outers that share K[:j] and a frontier of (trie node or leaf, the
+    inner terms through j - 1).  At depth j the group splits by K_j, and
+    each part reads its row and keeps every child within the largest cap
+    among its outers; a leaf holds one point and steps one coordinate at a
+    time.  At depth `half` each group is one outer and each frontier entry
+    one pair, which gets the exact tests: tot <= `limit`, then ownership.
 
     The `max_list` cap is checked as each survivor is stored, so the scan
     stops at the (max_list + 1)-th point rather than after the last pair.
@@ -470,64 +504,61 @@ def _scan_blocks(nums, den, half, limit, blocks, max_list):
                             raise MaxListExceeded(max_list)
             continue
         if inners is not trie_of:
-            trie_of, (root, keys) = inners, _inner_trie(inners, den)
-        tk = t_sign * k_sign * den
+            trie_of, (root, keys, tvals) = inners, _inner_trie(inners, den)
         rs = [(t_sign * ra, t_sign * rb) for ra, rb in nums[off:off + half]]
-        # coordinate j's least term over every T_j, for K_j.re + K_j.im even
-        # and odd: den * K_j is in the lattice den (1-i) Z[i] just when even
-        floors = [(_coset_floor(xr, yr, den), _coset_floor(xr - den, yr, den))
-                  for xr, yr in rs]
-        for known_pt, known_tot in outers:
-            # caps[j]: the most the total through coordinate j may be, as the
-            # coordinates after j add at least their floors
-            caps = [limit] * half
-            cap = limit
-            for j in range(half - 1, 0, -1):
-                a, b = known_pt[j]
-                cap -= floors[j][(a + b) & 1]
-                caps[j - 1] = cap
-            a, b = known_pt[0]
-            if known_tot > cap - floors[0][(a + b) & 1]:
-                continue
-            base = [(xr - tk * a, yr - tk * b)
-                    for (a, b), (xr, yr) in zip(known_pt, rs)]
-            stack = [(root, 0, known_tot)]
-            while stack:
-                node, j, acc = stack.pop()
-                bx, by = base[j]
-                cap = caps[j]
-                for (su, sv), child in node.items():
-                    dx = bx - su
-                    dy = by - sv
-                    tot = acc + dx * dx + dy * dy
-                    if tot > cap:
-                        continue
-                    if child.__class__ is dict:
-                        stack.append((child, j + 1, tot))
-                        continue
-                    kt = keys[child]
-                    for m in range(j + 1, half):
-                        su, sv = kt[m]
-                        cx, cy = base[m]
-                        dx = cx - su
-                        dy = cy - sv
-                        tot += dx * dx + dy * dy
-                        if tot > limit:
-                            break
-                    else:
+        group, tables = _term_tables(outers, rs, t_sign * k_sign * den,
+                                     tvals, limit)
+        # a state is a group of outers that share K[:j] and the frontier of
+        # (trie node or leaf index, their shared inner terms through j - 1)
+        stack = [(group, 0, [(root, 0)])]
+        while stack:
+            group, j, front = stack.pop()
+            if j == half:
+                # the groups are single outers by now, and each entry a pair
+                for known_pt, known_tot, _ in group:
+                    for child, acc in front:
+                        tot = known_tot + acc
                         trans_pt, trans_tot = inners[child]
-                        if (tot - known_tot <= own0
+                        if (tot > limit or acc <= own0
                                 or 4 * tot - trans_tot <= own_p):
                             continue
-                        body = tuple(
+                        body = tuple([
                             (t_sign * (c + d) + k_sign * a,
                              t_sign * (d - c) + k_sign * b)
                             for (a, b), (c, d) in zip(known_pt, trans_pt)
-                        )
+                        ])
                         out.append((body + known_pt if unknown_left
                                     else known_pt + body, tot))
                         if max_list is not None and len(out) > max_list:
                             raise MaxListExceeded(max_list)
+                continue
+            if len(group) == 1:
+                subs = (group,)
+            else:
+                split = {}
+                for outer in group:
+                    split.setdefault(outer[0][j], []).append(outer)
+                subs = split.values()
+            table = tables[j]
+            for sub in subs:
+                row = table[sub[0][0][j]][0]
+                # the loosest cap in the group: a pair past its own cap
+                # but under another outer's goes on, to be dropped later
+                cap = max([outer[2][j] for outer in sub])
+                nxt = []
+                for node, acc in front:
+                    if node.__class__ is dict:
+                        for k, child in node.items():
+                            tot = acc + row[k]
+                            if tot <= cap:
+                                nxt.append((child, tot))
+                    else:
+                        # a leaf holds one point: step to its next key
+                        tot = acc + row[keys[node][j]]
+                        if tot <= cap:
+                            nxt.append((node, tot))
+                if nxt:
+                    stack.append((sub, j + 1, nxt))
     return out
 
 

@@ -277,11 +277,12 @@ def test_closed_output_pipe_is_not_an_error() -> None:
 def test_cli_import_leaves_the_pool_unloaded() -> None:
     # every decode runs in one process, so no command imports a process
     # pool; every value type is a tuple, so nothing loads dataclasses
-    # either; and the bounds and rmcode modules load only in the
+    # either; and the bounds, oracle and rmcode modules load only in the
     # subcommands that use them
     script = ("import sys, bwlist.cli\n"
               "for name in ('concurrent.futures.process', 'multiprocessing',\n"
-              "             'dataclasses', 'bwlist.bounds', 'bwlist.rmcode'):\n"
+              "             'dataclasses', 'bwlist.bounds', 'bwlist.oracle',\n"
+              "             'bwlist.rmcode'):\n"
               "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
                           capture_output=True, text=True)

@@ -554,6 +554,8 @@ def test_fast_decode_matches_literal_decode(case) -> None:
 @example((random_word(random.Random(1_000_023), 2), Fraction(9, 10)))
 @example((random_word(random.Random(1_000_017), 2), Fraction(9, 10)))
 @example((CVector([HALF_PHI] * 64), Fraction(1, 2)))
+@example((random_word(random.Random(1), 2), Fraction(9, 10)))
+@example((random_word(random.Random(1), 3), Fraction(5, 8)))
 def test_pair_scan_matches_brute_force_combine(case) -> None:
     # the fixed examples put members where an ownership limit one unit off
     # keeps a member twice or loses it: every member of the deep hole at
@@ -562,7 +564,10 @@ def test_pair_scan_matches_brute_force_combine(case) -> None:
     # limits are not whole, each have a member whose plus transform lies
     # one unit past r_plus's limit, kept by 0- in the first and by 1- in
     # the second.  The level-6 deep hole's root scans flat, one inner
-    # against 128 outers of 32 coordinates
+    # against 128 outers of 32 coordinates.  In the last two, random words
+    # at 9/10 and 5/8, the trie walk keeps a pair whose outer shares its
+    # group with an outer of a tighter cap, one member at level 2 and two
+    # at level 3: a group held to its tightest cap would lose them
     r, eta = case
     lines, _ = _brute_force_combine(r, eta)
     assert list_decode(r, eta).to_lines() == lines
@@ -660,30 +665,6 @@ def test_ownership_limits_prune_pairs_before_the_scan(monkeypatch) -> None:
     assert npairs > 0 and scanned[-1] * 2 == npairs
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(-200, 200), st.integers(-200, 200), st.integers(1, 12),
-       st.integers(-9, 9), st.integers(-9, 9), st.sampled_from((1, -1)))
-@example(0, 0, 1, 0, 0, 1)
-@example(1, 0, 1, 0, 0, 1)
-@example(3, -3, 2, 1, 0, -1)
-def test_coset_floor_is_the_least_term_over_every_inner_coordinate(
-        x, y, den, a, b, sign) -> None:
-    # the trie walk's floor for coordinate j is the least
-    # |base_j - den (1-i) T_j|^2 over every Gaussian integer T_j: a brute
-    # force over the T = c + d i around the nearest lattice point, where
-    # den (1-i) T = den (c + d, d - c)
-    floor = decode._coset_floor(x, y, den)
-    d2 = 2 * den
-    cs = range((x - y) // d2 - 1, (x - y) // d2 + 3)
-    ds = range((x + y) // d2 - 1, (x + y) // d2 + 3)
-    assert floor == min((x - den * (c + d)) ** 2 + (y - den * (d - c)) ** 2
-                        for c in cs for d in ds)
-    # base_j = R_j -/+ den K_j: the floor reads K_j only through the parity
-    # of K_j.re + K_j.im
-    assert (decode._coset_floor(x - sign * den * a, y - sign * den * b, den)
-            == decode._coset_floor(x - den * ((a + b) & 1), y, den))
-
-
 def _text_and_ops_per_scan_path(r: CVector, eta: Fraction):
     """list_decode's text and counted ops with the default trie cutoff, with
     a trie for every inner list, and with a flat scan for every one."""
@@ -742,9 +723,17 @@ def _distinct_points(draw):
 @given(_distinct_points())
 def test_inner_trie_shape(case) -> None:
     inners, den = case
-    root, keys = decode._inner_trie(inners, den)
-    assert keys == [tuple((den * (c + d), den * (d - c)) for c, d in pt)
-                    for pt, _ in inners]
+    root, keys, tvals = decode._inner_trie(inners, den)
+    half = len(inners[0][0])
+    assert len(keys) == len(inners) and len(tvals) == half
+    for j in range(half):
+        # depth j's values are the distinct den (1-i) T_j, in order of first
+        # appearance, and each key is its coordinate's index among them
+        assert tvals[j] == list(dict.fromkeys(
+            (den * (c + d), den * (d - c)) for c, d in (pt[j] for pt, _ in inners)))
+        for (pt, _), kt in zip(inners, keys):
+            c, d = pt[j]
+            assert tvals[j][kt[j]] == (den * (c + d), den * (d - c))
     # every point's key path ends at a leaf that holds its index
     for i, kt in enumerate(keys):
         node, j = root, 0
@@ -767,6 +756,74 @@ def test_inner_trie_shape(case) -> None:
             else:
                 # no other point shares the key prefix of a leaf
                 assert [i for i in under if keys[i][j] == k] == [child]
+
+
+@st.composite
+def _term_table_cases(draw):
+    """A trie block: inner points, outer entries of the same length, the
+    scaled residual t_sign R, tk = t_sign k_sign den, and a limit near the
+    tot of one of its pairs."""
+    inners, den = draw(_distinct_points())
+    half = len(inners[0][0])
+    coord = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    outers = draw(st.lists(
+        st.tuples(st.lists(coord, min_size=half, max_size=half).map(tuple),
+                  st.integers(0, 12)),
+        min_size=1, max_size=12, unique_by=lambda e: e[0]))
+    part = st.integers(-4 * den, 4 * den)
+    rs = draw(st.lists(st.tuples(part, part), min_size=half, max_size=half))
+    tk = draw(st.sampled_from((1, -1))) * den
+    limit = draw(st.integers(0, 40 * den * den * half))
+    return inners, den, outers, rs, tk, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_table_cases())
+def test_term_rows_bound_every_inner_term(case) -> None:
+    # the group walk reads a pair's term at coordinate j from the row of its
+    # outer's K_j and bounds the rest of the pair by the rows' minimums, so
+    # a row must hold every inner value's exact term, its floor must be at
+    # most every term the coordinate can take in the trie, and no pair
+    # within the limit may pass an outer's cap at any depth or belong to an
+    # outer that is left out
+    inners, den, outers, rs, tk, limit = case
+    _, keys, tvals = decode._inner_trie(inners, den)
+    kept, tables = decode._term_tables(outers, rs, tk, tvals, limit)
+    caps_of = {known_pt: caps for known_pt, _, caps in kept}
+    assert [pt for pt, _, _ in kept] == [pt for pt, _ in outers
+                                         if pt in caps_of]
+
+    def term(j, k_j, t_j):
+        x, y = rs[j]
+        (a, b), (c, d) = k_j, t_j
+        return ((x - tk * a - den * (c + d)) ** 2
+                + (y - tk * b - den * (d - c)) ** 2)
+
+    for known_pt, known_tot in outers:
+        floors = []
+        for j, k_j in enumerate(known_pt):
+            row, floor = tables[j][k_j]
+            # every index at depth j is some inner's key
+            assert len(row) == len(tvals[j])
+            for (pt, _), kt in zip(inners, keys):
+                assert row[kt[j]] == term(j, k_j, pt[j])
+                assert floor <= term(j, k_j, pt[j])
+            assert floor == min(row)
+            floors.append(floor)
+        caps = caps_of.get(known_pt)
+        if caps is not None:
+            assert caps == [limit - known_tot - sum(floors[j + 1:])
+                            for j in range(len(floors))]
+        else:
+            assert known_tot + sum(floors) > limit
+        for pt, _ in inners:
+            acc, partial = known_tot, []
+            for j, k_j in enumerate(known_pt):
+                acc += term(j, k_j, pt[j])
+                partial.append(acc - known_tot)
+            if acc <= limit:
+                assert caps is not None
+                assert all(s <= cap for s, cap in zip(partial, caps))
 
 
 def _object_lines(result) -> list[str]:

@@ -169,3 +169,18 @@ def test_the_package_never_forks() -> None:
                for name in imported(node) for module in banned)
     ]
     assert not sites, sites
+
+
+def test_the_pair_scan_defines_no_function() -> None:
+    # a decode runs `_scan_blocks` once per combine, over a hundred times on
+    # a sparse word, so a function or lambda defined in its body would be
+    # built again on every call
+    tree = ast.parse((ROOT / "src" / "bwlist" / "decode.py").read_text(
+        encoding="utf-8"))
+    scan = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_scan_blocks")
+    nested = [node.lineno for node in ast.walk(scan) if node is not scan
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda))]
+    assert not nested, nested
